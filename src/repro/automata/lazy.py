@@ -49,10 +49,16 @@ The classes mirror the :class:`~repro.automata.dfa.Dfa` query surface
 the solver relies on (``accepts_word`` / ``is_empty`` /
 ``shortest_word`` / ``words``), so :func:`lazy_intersect_all` and
 :func:`lazy_union_all` are drop-ins on that surface.
+
+:func:`expression_is_empty` decides emptiness of intersections of
+*concatenations* of such automata and words, by reachability in an
+ε-NFA built on demand over the same components (see the section at the
+end of this module).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict, deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -540,3 +546,257 @@ def lazy_union_all(components: Sequence):
     if len(components) == 1:
         return components[0]
     return LazyUnion(components)
+
+
+# -- emptiness of intersected concatenations ---------------------------------
+#
+# The solver over-approximates the language of a concatenation-defined
+# string (``x = p1 ++ ... ++ pn`` with memberships on ``x`` and on the
+# parts) and refutes the core when that language is empty.  A language
+# expression is one of
+#
+# - ``None`` — Σ*, an unconstrained string;
+# - a ``str`` — exactly that word;
+# - a :class:`Dfa` or lazy space — its language;
+# - ``("cat", parts)`` — the concatenation of the parts' languages;
+# - ``("and", parts)`` — the intersection of the parts' languages.
+#
+# Concatenation is nondeterministic, so the expression compiles to a
+# small ε-NFA whose states are built on demand, and emptiness is plain
+# reachability of an accepting state in it: nothing is determinized and
+# nothing is kept once the search ends except the verdict.
+
+#: Bound on the NFA states one emptiness check may discover, read when
+#: the check runs (0 disables the checks).  Verdicts are memoized
+#: without it: call :func:`clear_verdicts` after changing it.
+CONCAT_BUDGET = 4096
+#: Bound on memoized verdicts (an LRU).
+VERDICT_MEMO_SIZE = 2048
+
+_VERDICTS: "OrderedDict[object, Optional[bool]]" = OrderedDict()
+#: Solvers run on several threads at once (portfolio members, the
+#: serve daemon's inline jobs); the LRU's check-then-act needs a lock.
+_VERDICTS_LOCK = threading.Lock()
+
+
+class _WordNfa:
+    """A single word: state ``i`` has read its first ``i`` characters."""
+
+    __slots__ = ("labels",)
+    start = 0
+
+    def __init__(self, word: str):
+        self.labels = [CharSet.of(ch) for ch in word]
+
+    def eps(self, state: int):
+        return ()
+
+    def moves(self, state: int):
+        if state < len(self.labels):
+            return [(self.labels[state], state + 1)]
+        return []
+
+    def accepting(self, state: int) -> bool:
+        return state == len(self.labels)
+
+
+class _AnyNfa:
+    """Σ*: one accepting state looping on every character."""
+
+    start = 0
+    _MOVES = [(CharSet.any(), 0)]
+
+    def eps(self, state):
+        return ()
+
+    def moves(self, state):
+        return self._MOVES
+
+    def accepting(self, state) -> bool:
+        return True
+
+
+class _AutomatonNfa:
+    """A DFA or lazy space; successors that cannot accept are pruned.
+    Rows are memoized for the search, which meets each component state
+    in many product states."""
+
+    __slots__ = ("part", "start", "_rows")
+
+    def __init__(self, automaton):
+        self.part = _part(automaton)
+        self.start = self.part.start
+        self._rows: Dict[object, list] = {}
+
+    def eps(self, state):
+        return ()
+
+    def moves(self, state):
+        row = self._rows.get(state)
+        if row is None:
+            live = self.part.live
+            row = [
+                (label, target)
+                for label, target in self.part.edges(state)
+                if live(target)
+            ]
+            self._rows[state] = row
+        return row
+
+    def accepting(self, state) -> bool:
+        return self.part.accepting(state)
+
+
+class _ConcatNfa:
+    """``L(p1)·…·L(pn)``: state ``(i, s)`` is state ``s`` of part ``i``,
+    with an ε-move to the next part's start wherever part ``i`` accepts."""
+
+    __slots__ = ("parts", "start")
+
+    def __init__(self, parts: Sequence):
+        self.parts = list(parts)
+        self.start = (0, self.parts[0].start)
+
+    def eps(self, state):
+        index, inner = state
+        part = self.parts[index]
+        out = [(index, target) for target in part.eps(inner)]
+        if index + 1 < len(self.parts) and part.accepting(inner):
+            out.append((index + 1, self.parts[index + 1].start))
+        return out
+
+    def moves(self, state):
+        index, inner = state
+        return [
+            (label, (index, target))
+            for label, target in self.parts[index].moves(inner)
+        ]
+
+    def accepting(self, state) -> bool:
+        index, inner = state
+        return index == len(self.parts) - 1 and self.parts[index].accepting(
+            inner
+        )
+
+
+class _MeetNfa:
+    """Intersection of ε-NFAs: the parts take ε-moves one at a time and
+    read characters together."""
+
+    __slots__ = ("parts", "start")
+
+    def __init__(self, parts: Sequence):
+        self.parts = list(parts)
+        self.start = tuple(part.start for part in self.parts)
+
+    def eps(self, state):
+        out = []
+        for i, (part, inner) in enumerate(zip(self.parts, state)):
+            for target in part.eps(inner):
+                out.append(state[:i] + (target,) + state[i + 1:])
+        return out
+
+    def moves(self, state):
+        combos: List[Tuple[CharSet, _State]] = [(CharSet.any(), ())]
+        for part, inner in zip(self.parts, state):
+            refined = []
+            for label, targets in combos:
+                for c_label, c_target in part.moves(inner):
+                    overlap = label.intersect(c_label)
+                    if not overlap.is_empty():
+                        refined.append((overlap, targets + (c_target,)))
+            combos = refined
+            if not combos:
+                break
+        return combos
+
+    def accepting(self, state) -> bool:
+        return all(
+            part.accepting(inner) for part, inner in zip(self.parts, state)
+        )
+
+
+_ANY_NFA = _AnyNfa()
+
+
+def _compile_expression(expr):
+    """The ε-NFA of a language expression, simplified on the way:
+    empty words vanish from concatenations, adjacent words merge,
+    Σ* runs collapse, and Σ* drops out of intersections."""
+    if expr is None:
+        return _ANY_NFA
+    if isinstance(expr, str):
+        return _WordNfa(expr)
+    if not isinstance(expr, tuple):
+        return _AutomatonNfa(expr)
+    op, children = expr
+    if op == "and":
+        parts = [_compile_expression(c) for c in children if c is not None]
+        if not parts:
+            return _ANY_NFA
+        return parts[0] if len(parts) == 1 else _MeetNfa(parts)
+    flat: List[object] = []
+    for child in children:
+        if isinstance(child, str):
+            if not child:
+                continue
+            if flat and isinstance(flat[-1], str):
+                flat[-1] += child
+                continue
+        elif child is None and flat and flat[-1] is None:
+            continue
+        flat.append(child)
+    parts = [_compile_expression(c) for c in flat] or [_WordNfa("")]
+    return parts[0] if len(parts) == 1 else _ConcatNfa(parts)
+
+
+def _search_empty(nfa, budget: int) -> Optional[bool]:
+    """Depth-first reachability of an accepting state.  ``True`` when
+    none is reachable, ``False`` when one is, ``None`` when more than
+    ``budget`` states were discovered first."""
+    seen = {nfa.start}
+    stack = [nfa.start]
+    while stack:
+        state = stack.pop()
+        if nfa.accepting(state):
+            return False
+        successors = list(nfa.eps(state))
+        successors.extend(target for _, target in nfa.moves(state))
+        for target in successors:
+            if target not in seen:
+                if len(seen) >= budget:
+                    return None
+                seen.add(target)
+                stack.append(target)
+    return True
+
+
+def expression_is_empty(key, build) -> Optional[bool]:
+    """Is the language of a (concatenation) expression empty?
+
+    ``build()`` returns the expression (see above); it runs only when
+    the verdict for ``key`` — a structural fingerprint the caller
+    guarantees determines the language — is not memoized.  Returns
+    ``True`` (empty), ``False`` (non-empty) or ``None`` (no verdict
+    within :data:`CONCAT_BUDGET` states).  Verdicts live in a bounded
+    LRU that :func:`repro.automata.ops.clear_caches` empties.
+    """
+    budget = CONCAT_BUDGET
+    if budget <= 0:
+        return None
+    with _VERDICTS_LOCK:
+        if key in _VERDICTS:
+            _VERDICTS.move_to_end(key)
+            return _VERDICTS[key]
+    verdict = _search_empty(_compile_expression(build()), budget)
+    with _VERDICTS_LOCK:
+        _VERDICTS[key] = verdict
+        if len(_VERDICTS) > VERDICT_MEMO_SIZE:
+            _VERDICTS.popitem(last=False)
+    return verdict
+
+
+def clear_verdicts() -> None:
+    """Drop every memoized emptiness verdict."""
+    with _VERDICTS_LOCK:
+        _VERDICTS.clear()

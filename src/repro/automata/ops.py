@@ -24,7 +24,7 @@ from repro.regex.parser import parse_pattern
 from repro.automata.build import NotRegularError, erase_captures, to_nfa
 from repro.automata.cache import AutomataInterner, node_fingerprint
 from repro.automata.dfa import Dfa, determinize
-from repro.automata.lazy import LazyProduct, lazy_intersect_all
+from repro.automata.lazy import LazyProduct, clear_verdicts, lazy_intersect_all
 from repro.automata.nfa import Nfa
 
 _INTERNER = AutomataInterner()
@@ -33,7 +33,7 @@ _COMPLEMENT_CACHE: Dict[ast.Node, Dfa] = {}
 
 
 def clear_caches() -> None:
-    """Drop every memoized DFA and reset the interner.
+    """Drop every memoized DFA and emptiness verdict and reset the interner.
 
     Also detaches any configured on-disk store (handle included), so
     benchmarks measuring cold compilation and tests get a pristine
@@ -42,6 +42,7 @@ def clear_caches() -> None:
     """
     _DFA_CACHE.clear()
     _COMPLEMENT_CACHE.clear()
+    clear_verdicts()
     _INTERNER.reset()
 
 

@@ -284,6 +284,7 @@ class DseEngine:
                     had_captures=any(
                         len(c.captures) > 1 for c in constraints
                     ),
+                    concat_refuted=raw.concat_refuted,
                 )
             )
             flip_span.set(status=raw.status)

@@ -144,6 +144,7 @@ class CegarSolver:
     ) -> CegarResult:
         start = time.perf_counter()
         refinements = 0
+        concat_refuted = 0
         had_captures = any(len(c.captures) > 1 for c in constraints)
         result = CegarResult(UNKNOWN)
 
@@ -162,6 +163,7 @@ class CegarSolver:
                 ) as iter_span:
                     solved = self._solve_query(problem, refinements)
                     iter_span.set(status=solved.status)
+                concat_refuted += solved.concat_refuted
                 # A router annotates the innermost open span with its
                 # decision; hoist it so the slow-query log (which keeps
                 # only ``cegar:solve``-family spans) sees the route.
@@ -207,6 +209,7 @@ class CegarSolver:
                     had_captures=had_captures,
                     refinements=refinements,
                     hit_refinement_limit=result.hit_limit,
+                    concat_refuted=concat_refuted,
                 )
             )
         return result

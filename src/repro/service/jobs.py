@@ -386,6 +386,7 @@ class AnalyzeJob(_JobBase):
             "failures": list(result.failures),
             "solver_queries": len(result.stats.queries),
             "solver_seconds": result.stats.total_time(),
+            "concat_refuted": result.stats.concat_refuted(),
             "refined_queries": len(refined),
             "sum_refinements": sum(q.refinements for q in refined),
         }
@@ -491,6 +492,7 @@ class SolveJob(_JobBase):
                 }
         payload["solver_queries"] = len(stats.queries)
         payload["solver_seconds"] = stats.total_time()
+        payload["concat_refuted"] = stats.concat_refuted()
         payload["refinements"] = sum(q.refinements for q in stats.queries)
         payload["backend_tallies"] = stats.backend_summary()
         payload["session_tallies"] = stats.session_summary()

@@ -158,6 +158,7 @@ def merge_analyze(results: Sequence[JobResult]) -> dict:
         "regex_ops": sum(p["regex_ops"] for p in payloads),
         "solver_queries": sum(p.get("solver_queries", 0) for p in payloads),
         "solver_seconds": sum(p.get("solver_seconds", 0.0) for p in payloads),
+        "concat_refuted": sum(p.get("concat_refuted", 0) for p in payloads),
         "refined_queries": refined,
         "mean_refinements": refinements / refined if refined else 0.0,
         "wall_time": sum(p["wall_time"] for p in payloads),
@@ -212,6 +213,9 @@ def merge_solve(results: Sequence[JobResult]) -> dict:
         ),
         "solver_seconds": sum(
             r.payload.get("solver_seconds", 0.0) for r in ok
+        ),
+        "concat_refuted": sum(
+            r.payload.get("concat_refuted", 0) for r in ok
         ),
     }
 
@@ -549,7 +553,8 @@ def format_batch_report(report: BatchReport) -> str:
             f"solver: {merged['solver_queries']} queries, "
             f"{merged['solver_seconds']:.2f}s total; "
             f"{merged['refined_queries']} refined "
-            f"(mean {merged['mean_refinements']:.1f} refinements)"
+            f"(mean {merged['mean_refinements']:.1f} refinements); "
+            f"{merged['concat_refuted']} cores refuted by concatenation"
         )
 
     solve = report.of_kind("solve")
@@ -560,7 +565,8 @@ def format_batch_report(report: BatchReport) -> str:
             f"{merged['solved']} solved / {merged['unsolved']} unsolved "
             f"/ {merged['failed_jobs']} failed of {merged['jobs']} jobs; "
             f"{merged['solver_queries']} solver queries, "
-            f"{merged['solver_seconds']:.2f}s"
+            f"{merged['solver_seconds']:.2f}s; "
+            f"{merged['concat_refuted']} cores refuted by concatenation"
         )
 
     fuzz = report.of_kind("fuzz")

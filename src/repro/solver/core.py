@@ -10,8 +10,19 @@ membership/non-membership.  This solver decides that fragment *bounded-ly*:
    and ⊥), concatenation equations as a definition DAG, and per-class
    automata obtained by intersecting all positive memberships with the
    complements of negative ones;
-3. candidate generation for *free* classes by length-ordered word
+3. per core, propagation: constants are inverted through definitions,
+   memberships are pushed *down* into single-unknown definitions as
+   quotients, constant classes with a definition become splits, and
+   regular languages are pushed *up*: every class gets a sound
+   over-approximation of its language (a constant, its automaton, Σ*,
+   or for ``x = p1 ++ … ++ pn`` its automaton ∩ L(p1)·…·L(pn)), and the
+   core is refuted when a defined class, or a split target intersected
+   with the concatenation of the split's parts, has the empty language
+   (a budgeted reachability check, see
+   :func:`repro.automata.lazy.expression_is_empty`);
+4. candidate generation for *free* classes by length-ordered word
    enumeration from their automata, with iterative deepening, followed by
+   settling defined classes and splits (under the query deadline) and
    full re-checking of every literal.
 
 Like any string solver on an undecidable theory (§5.3 cites Bjørner et
@@ -37,6 +48,8 @@ from repro.automata import (
 )
 from repro.automata.build import erase_captures
 from repro.automata.dfa import Dfa
+from repro.automata.lazy import expression_is_empty
+from repro.constraints.printer import canonical_regex
 from repro.regex import ast as regex_ast
 from repro.constraints.formulas import (
     And,
@@ -73,6 +86,8 @@ UNKNOWN = "unknown"
 class SolverResult:
     status: str
     model: Optional[Model] = None
+    #: Cores the query refuted by upward language propagation.
+    concat_refuted: int = 0
 
     def __bool__(self) -> bool:
         return self.status == SAT
@@ -118,6 +133,8 @@ class _Core:
         self.splits: List[Tuple[StrVar, Tuple[Term, ...]]] = []
         #: Class rep → lazy/eager constraint automaton (or ``None``).
         self._split_dfa_cache: Dict[StrVar, Optional[object]] = {}
+        #: Set when upward propagation refuted the core.
+        self.concat_refuted = False
 
     # -- union-find ----------------------------------------------------------
 
@@ -199,13 +216,6 @@ class _Core:
         elif len(rhs) == 1 and isinstance(rhs[0], StrVar):
             self._ingest_definition(rhs[0], lhs)
         else:
-            # Cheap infeasibility: constant material on one side longer
-            # than the other side can possibly be (e.g. '⟨' ++ x = "").
-            for a, b in ((lhs, rhs), (rhs, lhs)):
-                if all(isinstance(t, StrConst) for t in b):
-                    target_len = sum(len(t.value) for t in b)
-                    if _min_length(a) > target_len:
-                        raise _UnsatCore()
             # Word equation between two concatenations: bridge with a
             # fresh variable so one side *defines* it and the other side
             # becomes a split of its value (instead of blind enumeration).
@@ -432,6 +442,7 @@ class _Core:
             for cls in list(self.classes.values()):
                 if cls.const is not None:
                     self._check_const_class(cls)
+            self._refute_concatenations()
         except _UnsatCore:
             return UNSAT, None
 
@@ -528,6 +539,13 @@ class _Core:
         per-option complements ``∩ ¬L(ri)`` — so neither polarity ever
         pays the subset-construction blowup of a wide alternation.
         """
+        return lazy_intersect_all(
+            self._membership_automata(cls) + cls.extra_dfas
+        )
+
+    def _membership_automata(self, cls: _Class) -> List[object]:
+        """One automaton per membership literal on the class (a wide
+        negated alternation contributes one per option)."""
         threshold = self.solver.lazy_union_min_options
         automata: List[object] = []
         for regex in cls.pos_regexes:
@@ -546,8 +564,84 @@ class _Core:
                 automata.extend(
                     complement_dfa_for(opt) for opt in options
                 )
-        automata.extend(cls.extra_dfas)
-        return lazy_intersect_all(automata)
+        return automata
+
+    # -- upward propagation: refuting concatenations ---------------------------
+
+    def _refute_concatenations(self) -> None:
+        """Refute the core when a concatenation has an empty language.
+
+        Each class gets a sound over-approximation of its language (see
+        :meth:`_language`).  A defined class with memberships of its own
+        is refuted when its approximation is empty; a split
+        ``(t, parts)`` whose target is constrained is refuted when
+        ``L(t) ∩ L(p1)·…·L(pn)`` is empty.  A check that runs out of
+        its state budget (:data:`repro.automata.lazy.CONCAT_BUDGET`)
+        proves nothing.
+        """
+        checks: List[Tuple[Term, Optional[Tuple[Term, ...]]]] = [
+            (cls.rep, None)
+            for cls in self.classes.values()
+            if cls.definition is not None
+            and (cls.pos_regexes or cls.neg_regexes)
+        ]
+        checks.extend(self.splits)
+        for target, parts in checks:
+            target_key = self._language(target, _membership_key)
+            if parts is None:
+                key = target_key
+            elif target_key is None:
+                continue  # Σ* target: the parts are checked on their own
+            else:
+                key = self._split_language(target_key, parts, _membership_key)
+
+            def build(target=target, parts=parts):
+                leaf = self._membership_automaton
+                language = self._language(target, leaf)
+                if parts is None:
+                    return language
+                return self._split_language(language, parts, leaf)
+
+            if expression_is_empty(key, build):
+                self.concat_refuted = True
+                raise _UnsatCore()
+
+    def _split_language(self, target, parts: Tuple[Term, ...], leaf):
+        return ("and", (target, ("cat", tuple(
+            self._language(part, leaf) for part in parts
+        ))))
+
+    def _language(self, term: Term, leaf, stack: Tuple[StrVar, ...] = ()):
+        """An over-approximation of the values ``term`` can take, as an
+        expression of :func:`repro.automata.lazy.expression_is_empty`:
+        a constant's word, ``leaf(cls)`` for a free class, Σ* (``None``)
+        for an unconstrained, ⊥ or cyclic class, and
+        ``leaf(cls) ∩ L(p1)·…·L(pn)`` for ``x = p1 ++ … ++ pn``.
+
+        With ``leaf`` = :meth:`_membership_automaton` this is the
+        language; with :func:`_membership_key` it is its structural
+        fingerprint (canonical regexes, constants, definition shape).
+        """
+        if isinstance(term, StrConst):
+            return term.value
+        if not isinstance(term, StrVar):
+            return None
+        rep = self._find(term)
+        cls = self._class(rep)
+        if cls.const is not None:
+            return cls.const
+        if cls.undef or rep in stack:
+            return None
+        own = leaf(cls)
+        if cls.definition is None:
+            return own
+        stack += (rep,)
+        return ("and", (own, ("cat", tuple(
+            self._language(part, leaf, stack) for part in cls.definition
+        ))))
+
+    def _membership_automaton(self, cls: _Class):
+        return lazy_intersect_all(self._membership_automata(cls))
 
     def _propagate_quotients(self) -> None:
         """Transfer memberships through single-unknown definitions.
@@ -655,7 +749,7 @@ class _Core:
             if time.monotonic() > deadline:
                 return None
             if index == len(order):
-                return self._settle(model, defined)
+                return self._settle(model, defined, deadline)
             for word in candidate_lists[index]:
                 tried += 1
                 if tried > budget:
@@ -723,11 +817,16 @@ class _Core:
 
     # -- settling: defined classes + split constraints -------------------------
 
-    def _settle(self, model: Model, defined: List[_Class]) -> Optional[Model]:
+    def _settle(
+        self, model: Model, defined: List[_Class], deadline: float
+    ) -> Optional[Model]:
         """Complete a partial assignment: compute defined classes, solve
         split constraints (with backtracking over splits), then verify
-        every literal."""
-        return self._settle_rec(model, list(defined), list(self.splits), 0)
+        every literal.  ``None`` once ``deadline`` has passed: the
+        search then reports UNKNOWN, never UNSAT."""
+        return self._settle_rec(
+            model, list(defined), list(self.splits), 0, deadline
+        )
 
     def _settle_rec(
         self,
@@ -735,8 +834,11 @@ class _Core:
         pending_defined: List[_Class],
         pending_splits: List[Tuple[StrVar, Tuple[Term, ...]]],
         depth: int,
+        deadline: float,
     ) -> Optional[Model]:
         if depth > 16:  # backtracking safety valve
+            return None
+        if time.monotonic() > deadline:
             return None
         # Fixpoint: compute defined classes whose parts are all known.
         # A defined class whose *own* value arrived first (via an outer
@@ -785,7 +887,9 @@ class _Core:
                 return None
             remaining = pending_splits[:i] + pending_splits[i + 1:]
             emitted = 0
-            for assignment in self._enumerate_splits(value, parts, model):
+            for assignment in self._enumerate_splits(
+                value, parts, model, deadline
+            ):
                 emitted += 1
                 if emitted > self.solver.split_cap:
                     break
@@ -794,7 +898,7 @@ class _Core:
                     for member in self._class(rep).members:
                         trial.set(member, word)
                 result = self._settle_rec(
-                    trial, pending_defined, remaining, depth + 1
+                    trial, pending_defined, remaining, depth + 1, deadline
                 )
                 if result is not None:
                     return result
@@ -832,11 +936,16 @@ class _Core:
         return True
 
     def _enumerate_splits(
-        self, value: str, parts: Tuple[Term, ...], model: Model
+        self,
+        value: str,
+        parts: Tuple[Term, ...],
+        model: Model,
+        deadline: float,
     ) -> Iterator[Dict[StrVar, str]]:
         """All ways to write ``value`` as the concatenation of ``parts``,
         respecting constants, prior assignments, per-class automata and
-        exclusions.  Yields {class-rep: substring} assignments."""
+        exclusions.  Yields {class-rep: substring} assignments, and
+        stops early once ``deadline`` has passed."""
 
         def part_dfa(rep: StrVar) -> Optional[object]:
             if rep not in self._split_dfa_cache:
@@ -874,6 +983,8 @@ class _Core:
                 return
             dfa = part_dfa(rep)
             for end in range(pos, len(value) + 1):
+                if time.monotonic() > deadline:
+                    return
                 sub = value[pos:end]
                 if sub in cls.excluded:
                     continue
@@ -893,6 +1004,18 @@ class _Core:
             if not _holds(check, model):
                 return None
         return model
+
+
+def _membership_key(cls: _Class):
+    """The fingerprint of a class's membership automaton (``None`` for
+    Σ*): its positive and negative regexes, canonically printed."""
+    if not (cls.pos_regexes or cls.neg_regexes):
+        return None
+    return (
+        "re",
+        tuple(sorted(canonical_regex(r) for r in cls.pos_regexes)),
+        tuple(sorted(canonical_regex(r) for r in cls.neg_regexes)),
+    )
 
 
 def _union_options(regex, threshold: int):
@@ -938,13 +1061,6 @@ def _term_vars(term: Term) -> Iterator[StrVar]:
     elif isinstance(term, Concat):
         for part in term.parts:
             yield from _term_vars(part)
-
-
-def _min_length(atoms: Sequence[Term]) -> int:
-    """A lower bound on the length of a concatenation's value."""
-    return sum(
-        len(t.value) for t in atoms if isinstance(t, StrConst)
-    )
 
 
 def _harvest_consts(formula: Formula, out: set) -> None:
@@ -1076,12 +1192,13 @@ class Solver:
         start = time.perf_counter()
         deadline = time.monotonic() + self.timeout
         self._candidates_tried = 0
+        concat_refuted = 0
         nnf = to_nnf(formula)
         cores_tried = 0
         saw_unknown = False
         status = UNSAT
         model = None
-        for limit in self.round_limits:
+        for round_index, limit in enumerate(self.round_limits):
             saw_unknown = False
             round_cores = 0
             for literals in _enumerate_cores(nnf):
@@ -1090,9 +1207,11 @@ class Solver:
                 if round_cores > self.max_cores:
                     saw_unknown = True
                     break
-                core_status, core_model = _Core(literals, self).solve(
-                    deadline, limit
-                )
+                core = _Core(literals, self)
+                core_status, core_model = core.solve(deadline, limit)
+                # Later rounds re-solve the same cores: count each once.
+                if core.concat_refuted and round_index == 0:
+                    concat_refuted += 1
                 if core_status == SAT:
                     status, model = SAT, core_model
                     break
@@ -1117,9 +1236,10 @@ class Solver:
                     status=status,
                     cores_tried=cores_tried,
                     candidates_tried=self._candidates_tried,
+                    concat_refuted=concat_refuted,
                 )
             )
-        return SolverResult(status, model)
+        return SolverResult(status, model, concat_refuted)
 
 
 def _enumerate_cores(nnf: Formula) -> Iterator[List[Formula]]:

@@ -29,6 +29,9 @@ class QueryRecord:
     had_captures: bool = False
     refinements: int = 0
     hit_refinement_limit: bool = False
+    #: Cores refuted by upward language propagation (an empty
+    #: concatenation language) rather than by search.
+    concat_refuted: int = 0
 
 
 @dataclass
@@ -386,6 +389,10 @@ class SolverStats:
 
     def total_time(self) -> float:
         return sum(q.seconds for q in self.queries)
+
+    def concat_refuted(self) -> int:
+        """Cores refuted by upward language propagation, over all queries."""
+        return sum(q.concat_refuted for q in self.queries)
 
     def _subset(self, predicate) -> List[QueryRecord]:
         return [q for q in self.queries if predicate(q)]

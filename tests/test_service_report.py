@@ -54,6 +54,19 @@ class TestMergeAnalyze:
         assert merged["queries"] == 20
         assert merged["mean_refinements"] == 3.0
 
+    def test_concat_refuted_sums_onto_the_solver_line(self):
+        results = [
+            analyze_result("a", 6, 10, concat_refuted=3),
+            analyze_result("b", 10, 10, concat_refuted=4),
+            analyze_result("c", 1, 10),  # payload from before the counter
+        ]
+        assert merge_analyze(results)["concat_refuted"] == 7
+        text = format_batch_report(BatchReport(results=results))
+        solver_line = next(
+            line for line in text.splitlines() if line.startswith("solver:")
+        )
+        assert "7 cores refuted by concatenation" in solver_line
+
     def test_empty(self):
         merged = merge_analyze([])
         assert merged["coverage"] == 0.0

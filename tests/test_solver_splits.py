@@ -170,3 +170,33 @@ class TestSplitWithDefinitionsChained:
         result = Solver().solve(formula)
         assert result.status == SAT
         assert result.model[x] == "ab" and result.model[y] == ""
+
+
+class TestSplitDeadline:
+    """Splitting a word honours the query deadline: a split search that
+    cannot succeed ends UNKNOWN at the timeout instead of running on."""
+
+    def _dead_split(self):
+        # 'a'*60 = y0 ++ ... ++ y4 ++ 'b': about 8M placements of the
+        # cut points, none of which ends on 'b'.
+        parts = [StrVar(f"y{i}") for i in range(5)]
+        return conj(
+            [Eq(x, StrConst("a" * 60)), Eq(x, concat(*parts, StrConst("b")))]
+            + [InRe(part, rn("a*")) for part in parts]
+        )
+
+    def test_split_search_stops_at_the_deadline(self, monkeypatch):
+        import time
+
+        from repro.automata import lazy
+
+        monkeypatch.setattr(lazy, "CONCAT_BUDGET", 0)
+        started = time.monotonic()
+        result = Solver(timeout=0.1).solve(self._dead_split())
+        assert result.status == UNKNOWN
+        assert time.monotonic() - started < 5.0
+
+    def test_upward_propagation_decides_it(self):
+        result = Solver(timeout=0.1).solve(self._dead_split())
+        assert result.status == UNSAT
+        assert result.concat_refuted == 1
