@@ -27,7 +27,7 @@ from repro.dse.strategy import CupaScheduler, QueuedTest
 from repro.model.cegar import CegarSolver
 from repro.solver import SAT, Solver, SolverStats
 from repro.solver.backends import make_backend
-from repro.solver.stats import QueryRecord
+from repro.solver.stats import WORK_COUNTERS, QueryRecord
 
 
 @dataclass
@@ -284,7 +284,7 @@ class DseEngine:
                     had_captures=any(
                         len(c.captures) > 1 for c in constraints
                     ),
-                    concat_refuted=raw.concat_refuted,
+                    **{name: getattr(raw, name) for name in WORK_COUNTERS},
                 )
             )
             flip_span.set(status=raw.status)

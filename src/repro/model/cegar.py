@@ -35,7 +35,7 @@ from repro.constraints import (
 )
 from repro.regex.matcher import RegExp
 from repro.solver import Model, SAT, Solver, SolverStats, UNKNOWN, UNSAT
-from repro.solver.stats import QueryRecord
+from repro.solver.stats import WORK_COUNTERS, QueryRecord
 
 
 @dataclass
@@ -144,7 +144,7 @@ class CegarSolver:
     ) -> CegarResult:
         start = time.perf_counter()
         refinements = 0
-        concat_refuted = 0
+        work = dict.fromkeys(WORK_COUNTERS, 0)
         had_captures = any(len(c.captures) > 1 for c in constraints)
         result = CegarResult(UNKNOWN)
 
@@ -163,7 +163,8 @@ class CegarSolver:
                 ) as iter_span:
                     solved = self._solve_query(problem, refinements)
                     iter_span.set(status=solved.status)
-                concat_refuted += solved.concat_refuted
+                for name in WORK_COUNTERS:
+                    work[name] += getattr(solved, name)
                 # A router annotates the innermost open span with its
                 # decision; hoist it so the slow-query log (which keeps
                 # only ``cegar:solve``-family spans) sees the route.
@@ -209,7 +210,7 @@ class CegarSolver:
                     had_captures=had_captures,
                     refinements=refinements,
                     hit_refinement_limit=result.hit_limit,
-                    concat_refuted=concat_refuted,
+                    **work,
                 )
             )
         return result

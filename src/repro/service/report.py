@@ -159,6 +159,9 @@ def merge_analyze(results: Sequence[JobResult]) -> dict:
         "solver_queries": sum(p.get("solver_queries", 0) for p in payloads),
         "solver_seconds": sum(p.get("solver_seconds", 0.0) for p in payloads),
         "concat_refuted": sum(p.get("concat_refuted", 0) for p in payloads),
+        "prefixes_refuted": sum(
+            p.get("prefixes_refuted", 0) for p in payloads
+        ),
         "refined_queries": refined,
         "mean_refinements": refinements / refined if refined else 0.0,
         "wall_time": sum(p["wall_time"] for p in payloads),
@@ -216,6 +219,9 @@ def merge_solve(results: Sequence[JobResult]) -> dict:
         ),
         "concat_refuted": sum(
             r.payload.get("concat_refuted", 0) for r in ok
+        ),
+        "prefixes_refuted": sum(
+            r.payload.get("prefixes_refuted", 0) for r in ok
         ),
     }
 
@@ -554,7 +560,9 @@ def format_batch_report(report: BatchReport) -> str:
             f"{merged['solver_seconds']:.2f}s total; "
             f"{merged['refined_queries']} refined "
             f"(mean {merged['mean_refinements']:.1f} refinements); "
-            f"{merged['concat_refuted']} cores refuted by concatenation"
+            f"{merged['concat_refuted']} refuted by concatenation "
+            f"(cores and prefixes), "
+            f"{merged['prefixes_refuted']} prefixes refuted"
         )
 
     solve = report.of_kind("solve")
@@ -566,7 +574,9 @@ def format_batch_report(report: BatchReport) -> str:
             f"/ {merged['failed_jobs']} failed of {merged['jobs']} jobs; "
             f"{merged['solver_queries']} solver queries, "
             f"{merged['solver_seconds']:.2f}s; "
-            f"{merged['concat_refuted']} cores refuted by concatenation"
+            f"{merged['concat_refuted']} refuted by concatenation "
+            f"(cores and prefixes), "
+            f"{merged['prefixes_refuted']} prefixes refuted"
         )
 
     fuzz = report.of_kind("fuzz")

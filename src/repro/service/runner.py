@@ -967,6 +967,7 @@ def replay_result(
         ("solver_queries", 0),
         ("solver_seconds", 0.0),
         ("concat_refuted", 0),
+        ("prefixes_refuted", 0),
         ("backend_tallies", {}),
         ("session_tallies", {}),
         ("route_tallies", {}),

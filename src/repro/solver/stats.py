@@ -17,6 +17,13 @@ from typing import Dict, List, Optional
 from repro.obs import metrics as _metrics
 
 
+#: The solver's work counters, carried by ``SolverResult`` and summed
+#: into :class:`QueryRecord` by callers that make several raw solves.
+WORK_COUNTERS = (
+    "cores_tried", "candidates_tried", "concat_refuted", "prefixes_refuted",
+)
+
+
 @dataclass
 class QueryRecord:
     """One solver query (one ``Solve(P)`` call in Algorithm 1's loop)."""
@@ -29,9 +36,14 @@ class QueryRecord:
     had_captures: bool = False
     refinements: int = 0
     hit_refinement_limit: bool = False
-    #: Cores refuted by upward language propagation (an empty
-    #: concatenation language) rather than by search.
+    #: Cores and partial conjunctions refuted by upward language
+    #: propagation (an empty concatenation language) rather than by
+    #: search.  A prefix refuted this way counts here and in
+    #: ``prefixes_refuted``.
     concat_refuted: int = 0
+    #: Partial conjunctions refuted while enumerating cores (each one
+    #: skips every core that extends it).
+    prefixes_refuted: int = 0
 
 
 @dataclass
@@ -391,8 +403,14 @@ class SolverStats:
         return sum(q.seconds for q in self.queries)
 
     def concat_refuted(self) -> int:
-        """Cores refuted by upward language propagation, over all queries."""
+        """Cores and prefixes refuted by upward language propagation,
+        over all queries."""
         return sum(q.concat_refuted for q in self.queries)
+
+    def prefixes_refuted(self) -> int:
+        """Partial conjunctions refuted during core enumeration, over all
+        queries."""
+        return sum(q.prefixes_refuted for q in self.queries)
 
     def _subset(self, predicate) -> List[QueryRecord]:
         return [q for q in self.queries if predicate(q)]

@@ -65,7 +65,20 @@ class TestMergeAnalyze:
         solver_line = next(
             line for line in text.splitlines() if line.startswith("solver:")
         )
-        assert "7 cores refuted by concatenation" in solver_line
+        assert "7 refuted by concatenation (cores and prefixes)" in solver_line
+
+    def test_prefixes_refuted_sums_onto_the_solver_line(self):
+        results = [
+            analyze_result("a", 6, 10, prefixes_refuted=5),
+            analyze_result("b", 10, 10, prefixes_refuted=2),
+            analyze_result("c", 1, 10),  # payload from before the counter
+        ]
+        assert merge_analyze(results)["prefixes_refuted"] == 7
+        text = format_batch_report(BatchReport(results=results))
+        solver_line = next(
+            line for line in text.splitlines() if line.startswith("solver:")
+        )
+        assert "7 prefixes refuted" in solver_line
 
     def test_empty(self):
         merged = merge_analyze([])
@@ -93,6 +106,7 @@ class TestMergeSolve:
         assert merged["unsolved"] == 1
         assert merged["failed_jobs"] == 1
         assert merged["solver_queries"] == 3
+        assert merged["prefixes_refuted"] == 0
 
 
 class TestMergeBackendTallies:

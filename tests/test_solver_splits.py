@@ -171,6 +171,20 @@ class TestSplitWithDefinitionsChained:
         assert result.status == SAT
         assert result.model[x] == "ab" and result.model[y] == ""
 
+    def test_undetermined_split_target_is_never_unsat(self):
+        # x = y0 ++ y2 ++ 'b' and x = y2 ++ y2 ++ y0: the split's parts
+        # are not enumerated and its target is defined from them, so
+        # settling can only guess defaults.  A failed guess proves
+        # nothing (y0 = '', y2 = 'b' is a model).
+        formula = conj(
+            [
+                Eq(x, concat(a, c, StrConst("b"))),
+                Eq(y, x),
+                Eq(y, concat(c, c, a)),
+            ]
+        )
+        assert Solver(round_limits=(12,)).solve(formula).status != UNSAT
+
 
 class TestSplitDeadline:
     """Splitting a word honours the query deadline: a split search that
