@@ -46,11 +46,11 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.constraints import Eq, StrConst, StrVar, conj
-from repro.constraints.formulas import Formula
+from repro.constraints.formulas import Formula, to_nnf
 from repro.model.preprocess import META_END, META_START
 from repro.regex.matcher import RegExp
 from repro.solver.backends import make_backend
@@ -92,6 +92,20 @@ def _exact_fragment(body) -> bool:
         )
         for sub in ast.walk(body)
     )
+
+
+class _PatternEntry(NamedTuple):
+    """What the oracle pays for once per pattern, not once per word."""
+
+    #: The concrete matcher, parsed once (``SymbolicRegExp.concrete``).
+    regexp: RegExp
+    #: The input variable of the match formula.
+    var: StrVar
+    #: ``to_nnf(match_formula)``: pinning a word re-normalises only the
+    #: top-level operands (see :func:`~repro.constraints.to_nnf`).
+    nnf: Formula
+    #: Whether the raw formula is exact (:func:`_exact_fragment`).
+    exact: bool
 
 
 @dataclass
@@ -151,43 +165,40 @@ class DifferentialOracle:
             UNDECIDED: 0,
             ERROR: 0,
         }
-        #: (pattern, flags) → (input var, match formula, exact?);
-        #: building the exec model dominates a check, and the shrinker
-        #: re-checks the same pattern against many words.
-        self._models: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
+        #: (pattern, flags) → :class:`_PatternEntry`, or ``None`` when
+        #: the pattern does not parse or translate.  A pair's words and
+        #: the shrinker's re-checks share one entry, so a word costs one
+        #: ``exec`` and the solve of its pinned formula.
+        self._models: "OrderedDict[Tuple[str, str], Optional[_PatternEntry]]"
+        self._models = OrderedDict()
         self._model_cache_size = model_cache_size
 
     # -- model plumbing ----------------------------------------------------
 
-    def _pinned_formula(
-        self, pattern: str, flags: str, word: str
-    ) -> Tuple[Optional[Formula], bool]:
+    def _entry(self, pattern: str, flags: str) -> Optional[_PatternEntry]:
         key = (pattern, flags)
-        cached = self._models.get(key)
-        if cached is None:
-            from repro.model.api import SymbolicRegExp
-
-            try:
-                symbolic = SymbolicRegExp(pattern, flags)
-                var = StrVar(f"fuzz!{next(_check_ids)}")
-                model = symbolic.exec_model(var)
-            except Exception:
-                cached = (None, None, False)  # unsupported: negative-cached
-            else:
-                cached = (
-                    var,
-                    model.match_formula,
-                    _exact_fragment(symbolic.concrete.pattern.body),
-                )
-            self._models[key] = cached
-            if len(self._models) > self._model_cache_size:
-                self._models.popitem(last=False)
-        else:
+        if key in self._models:
             self._models.move_to_end(key)
-        var, match_formula, exact = cached
-        if var is None:
-            return None, False
-        return conj([match_formula, Eq(var, StrConst(word))]), exact
+            return self._models[key]
+        from repro.model.api import SymbolicRegExp
+
+        try:
+            symbolic = SymbolicRegExp(pattern, flags)
+            var = StrVar(f"fuzz!{next(_check_ids)}")
+            model = symbolic.exec_model(var)
+        except Exception:
+            entry = None  # unsupported: negative-cached
+        else:
+            entry = _PatternEntry(
+                symbolic.concrete,
+                var,
+                to_nnf(model.match_formula),
+                _exact_fragment(symbolic.concrete.pattern.body),
+            )
+        self._models[key] = entry
+        if len(self._models) > self._model_cache_size:
+            self._models.popitem(last=False)
+        return entry
 
     # -- the check itself --------------------------------------------------
 
@@ -202,15 +213,19 @@ class DifferentialOracle:
         if META_START in word or META_END in word:
             self.counters["skipped"] += 1
             return None
+        entry = self._entry(pattern, flags)
+        if entry is None:
+            self.counters["skipped"] += 1
+            return None
+        # Each word is a fresh exec: a g/y match must not start at the
+        # lastIndex the previous word left behind.
+        entry.regexp.last_index = 0
         try:
-            concrete = RegExp(pattern, flags).exec(word) is not None
+            concrete = entry.regexp.exec(word) is not None
         except Exception:
             self.counters["skipped"] += 1
             return None
-        formula, exact = self._pinned_formula(pattern, flags, word)
-        if formula is None:
-            self.counters["skipped"] += 1
-            return None
+        formula = to_nnf(conj([entry.nnf, Eq(entry.var, StrConst(word))]))
         verdicts: Dict[str, str] = {
             _MATCHER: MATCH if concrete else NOMATCH
         }
@@ -221,7 +236,7 @@ class DifferentialOracle:
             if verdict in self.counters:
                 self.counters[verdict] += 1
         disagreement = self._find_disagreement(
-            pattern, flags, word, verdicts, exact, seed
+            pattern, flags, word, verdicts, entry.exact, seed
         )
         return CheckOutcome(pattern, flags, word, verdicts, disagreement)
 

@@ -71,6 +71,9 @@ class Not(Formula):
 @dataclass(frozen=True)
 class And(Formula):
     operands: Tuple[Formula, ...]
+    #: Set on the ``And``/``Or`` nodes :func:`to_nnf` returns.  Not a
+    #: field: ``==``, ``hash``, ``repr`` and the printers ignore it.
+    _nnf = False
 
     def __repr__(self) -> str:
         return "(" + " ∧ ".join(map(repr, self.operands)) + ")"
@@ -79,6 +82,7 @@ class And(Formula):
 @dataclass(frozen=True)
 class Or(Formula):
     operands: Tuple[Formula, ...]
+    _nnf = False  # see And._nnf
 
     def __repr__(self) -> str:
         return "(" + " ∨ ".join(map(repr, self.operands)) + ")"
@@ -161,7 +165,14 @@ def eq_str(term: Term, value: str) -> Formula:
 
 
 def to_nnf(formula: Formula, negate: bool = False) -> Formula:
-    """Negation normal form; negations end up only on atoms."""
+    """Negation normal form; negations end up only on atoms.
+
+    Every ``And``/``Or`` of the result is marked as normalised, and a
+    marked formula comes back unchanged unless it is negated.  A formula
+    built around an earlier result, such as a shared match formula
+    conjoined with one more atom, therefore normalises in time
+    proportional to its new operands, not to the whole tree.
+    """
     if isinstance(formula, BoolLit):
         return BoolLit(formula.value != negate)
     if isinstance(formula, (Eq, InRe)):
@@ -169,17 +180,27 @@ def to_nnf(formula: Formula, negate: bool = False) -> Formula:
     if isinstance(formula, Not):
         return to_nnf(formula.operand, not negate)
     if isinstance(formula, And):
+        if formula._nnf and not negate:
+            return formula
         parts = tuple(to_nnf(op, negate) for op in formula.operands)
-        return disj(parts) if negate else conj(parts)
+        return _mark_nnf(disj(parts) if negate else conj(parts))
     if isinstance(formula, Or):
+        if formula._nnf and not negate:
+            return formula
         parts = tuple(to_nnf(op, negate) for op in formula.operands)
-        return conj(parts) if negate else disj(parts)
+        return _mark_nnf(conj(parts) if negate else disj(parts))
     if isinstance(formula, Implies):
         # a ⟹ b  ≡  ¬a ∨ b
         return to_nnf(
             disj((neg(formula.antecedent), formula.consequent)), negate
         )
     raise TypeError(f"unknown formula {formula!r}")
+
+
+def _mark_nnf(formula: Formula) -> Formula:
+    if isinstance(formula, (And, Or)):
+        object.__setattr__(formula, "_nnf", True)
+    return formula
 
 
 def formula_size(formula: Formula) -> int:

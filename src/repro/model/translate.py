@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.regex import ast
 from repro.regex.charclass import CharSet, LINE_TERMINATORS, WORD
@@ -106,6 +106,45 @@ _STARTS_NEWLINE = ast.concat([_LINETERM_CM, _ANY_STAR])
 
 _EPS = StrConst("")
 
+#: Nodes a quantifier body cannot contain and still take the star rule.
+_UNROLLED = (ast.Backreference, ast.Lookahead, ast.WordBoundary, ast.Anchor)
+
+
+class SubtreeFacts(NamedTuple):
+    """What the translation asks about the subtree below one node."""
+
+    #: Capture group indices in pre-order (:func:`ast.groups_in`).
+    groups: Tuple[int, ...]
+    #: No captures, backreferences or assertions
+    #: (:func:`ast.is_purely_regular`).
+    purely_regular: bool
+    #: Backreferences, lookarounds, boundaries or anchors: a quantifier
+    #: over this subtree is unrolled instead of taking the star rule.
+    needs_unrolling: bool
+
+
+def _subtree_facts(root: ast.Node) -> Dict[int, SubtreeFacts]:
+    """:class:`SubtreeFacts` for every node under ``root``, by ``id``.
+
+    One bottom-up pass; the ids stay valid while ``root`` is alive.
+    """
+    facts: Dict[int, SubtreeFacts] = {}
+
+    def visit(node: ast.Node) -> SubtreeFacts:
+        groups = (node.index,) if isinstance(node, ast.Group) else ()
+        unrolling = isinstance(node, _UNROLLED)
+        for child in ast.children(node):
+            below = visit(child)
+            groups += below.groups
+            unrolling = unrolling or below.needs_unrolling
+        found = facts[id(node)] = SubtreeFacts(
+            groups, not groups and not unrolling, unrolling
+        )
+        return found
+
+    visit(root)
+    return facts
+
 
 @dataclass
 class Translation:
@@ -146,14 +185,20 @@ class Translator:
         self.body = rewrite_lazy_to_greedy(body)
         self.captures = captures
         self.config = config or ModelConfig()
+        self._facts = _subtree_facts(self.body)
+        group_count = max(self.facts(self.body).groups, default=0)
         self.backref_types = classify_backrefs(
-            ast.Pattern(self.body, _max_group_index(self.body))
+            ast.Pattern(self.body, group_count)
         )
         #: True when some rule was under-approximate (quantified
         #: backreference beyond the unroll bound / IMMUTABLE policy hit).
         self.underapproximate = False
 
     # -- public API -----------------------------------------------------------
+
+    def facts(self, node: ast.Node) -> SubtreeFacts:
+        """The precomputed facts of ``node``, a node of ``self.body``."""
+        return self._facts[id(node)]
 
     def membership(
         self,
@@ -189,7 +234,7 @@ class Translator:
         rctx: Term,
         cap_map: Dict[int, StrVar],
     ) -> Translation:
-        if ast.is_purely_regular(node):
+        if self.facts(node).purely_regular:
             return Translation(semantic=[InRe(word, node)])
         handler = self._HANDLERS[type(node)]
         return handler(self, node, path, word, lctx, rctx, cap_map)
@@ -216,10 +261,10 @@ class Translator:
     def _visit_alternation(
         self, node: ast.Alternation, path, word, lctx, rctx, cap_map
     ) -> Translation:
-        all_groups = set(ast.groups_in(node))
+        all_groups = set(self.facts(node).groups)
         branches: List[Formula] = []
         for i, option in enumerate(node.options):
-            own_groups = set(ast.groups_in(option))
+            own_groups = set(self.facts(option).groups)
             others = all_groups - own_groups
             child = self._visit(
                 option, path + (i,), word, lctx, rctx, cap_map
@@ -252,11 +297,7 @@ class Translator:
     def _visit_quantifier(
         self, node: ast.Quantifier, path, word, lctx, rctx, cap_map
     ) -> Translation:
-        body = node.child
-        needs_unrolling = ast.contains_backrefs(body) or ast.contains_lookarounds(
-            body
-        ) or ast.contains_anchors(body)
-        if needs_unrolling:
+        if self.facts(node.child).needs_unrolling:
             return self._unroll_quantifier(
                 node, path, word, lctx, rctx, cap_map
             )
@@ -269,7 +310,7 @@ class Translator:
         ``{m,n}``: ``w = w1 ++ w2``, ``w1 ∈ L(t̂{max(m-1,0),n-1})``, with
         the final iteration carrying the captures."""
         low, high = node.min, node.max
-        groups = [g for g in ast.groups_in(node.child) if g in cap_map]
+        groups = [g for g in self.facts(node.child).groups if g in cap_map]
         undef_caps = [Eq(cap_map[g], Undef()) for g in sorted(set(groups))]
 
         if high == 0:
@@ -320,7 +361,7 @@ class Translator:
             self.underapproximate = high is None or high > bound
             high = bound
         groups = sorted(
-            {g for g in ast.groups_in(node.child) if g in cap_map}
+            {g for g in self.facts(node.child).groups if g in cap_map}
         )
         branches: List[Formula] = []
         for count in range(low, high + 1):
@@ -401,7 +442,8 @@ class Translator:
         # Table 2 treats ``(?=t1)t2`` as an intersection on the remaining
         # word: here the remaining word is the right context, split into a
         # prefix matching t1 and an arbitrary tail (the ``.*`` of the rule).
-        if not node.negative and ast.is_purely_regular(node.child):
+        child_facts = self.facts(node.child)
+        if not node.negative and child_facts.purely_regular:
             # Fast path mirroring Table 2 verbatim: the remaining word is
             # in L(t1 .*) — one membership on the right context.
             rest = fresh_var("look")
@@ -429,8 +471,8 @@ class Translator:
             return result
         # Negative lookahead: rest ∉ Lc(t1.*).  Inner captures come out
         # undefined in ES6; the negated body uses local variables.
-        inner_groups = sorted(set(ast.groups_in(node.child)))
-        if ast.is_purely_regular(node.child):
+        inner_groups = sorted(set(child_facts.groups))
+        if child_facts.purely_regular:
             rest = fresh_var("look")
             result.structural = [Eq(word, _EPS), Eq(rest, rctx)]
             target = ast.concat([erase_captures(node.child), _ANY_STAR])
@@ -527,11 +569,6 @@ def _never_empty(term: Term) -> bool:
     if isinstance(term, _ConcatTerm):
         return any(_never_empty(p) for p in term.parts)
     return False
-
-
-def _max_group_index(node: ast.Node) -> int:
-    indices = ast.groups_in(node)
-    return max(indices) if indices else 0
 
 
 def model_membership(

@@ -203,16 +203,6 @@ def contains_backrefs(node: Node) -> bool:
     return any(isinstance(sub, Backreference) for sub in walk(node))
 
 
-def contains_lookarounds(node: Node) -> bool:
-    return any(
-        isinstance(sub, (Lookahead, WordBoundary)) for sub in walk(node)
-    )
-
-
-def contains_anchors(node: Node) -> bool:
-    return any(isinstance(sub, Anchor) for sub in walk(node))
-
-
 def is_purely_regular(node: Node) -> bool:
     """True iff ``node`` denotes a classical regular expression.
 

@@ -98,6 +98,20 @@ class _FixedBackend(SolverBackend):
         return SolverResult(self.status)
 
 
+class _RecordingBackend(SolverBackend):
+    """Records every formula it is asked; answers UNKNOWN."""
+
+    name = "recorder"
+
+    def __init__(self):
+        super().__init__(None)
+        self.formulas = []
+
+    def solve(self, formula):
+        self.formulas.append(formula)
+        return SolverResult(UNKNOWN)
+
+
 class TestOracle:
     def test_honest_pinned_corpus_never_disagrees(self):
         """The seed-1909 corpus: matcher and native solver agree."""
@@ -193,6 +207,84 @@ class TestOracle:
         )
         oracle.check("q", "", "q")
         assert stats.disagreement_summary() == {"native|planted": 1}
+
+
+class TestOracleSharesPatternWork:
+    """One parse, one model and one NNF per pattern, same verdicts."""
+
+    def test_pinned_formula_is_the_per_word_nnf(self, monkeypatch):
+        from repro.constraints import Eq, StrConst, conj, to_nnf
+        from repro.model.api import SymbolicRegExp
+
+        built = []
+        exec_model = SymbolicRegExp.exec_model
+
+        def recording(self, input_term, last_index=0):
+            model = exec_model(self, input_term, last_index)
+            built.append((input_term, model.match_formula))
+            return model
+
+        monkeypatch.setattr(SymbolicRegExp, "exec_model", recording)
+        recorder = _RecordingBackend()
+        oracle = DifferentialOracle([recorder], timeout=TIMEOUT)
+        models = {}
+        checked = 0
+        for pair in generate_pairs(100, 1909):
+            for word in pair.inputs:
+                seen = len(built)
+                if oracle.check(pair.pattern, pair.flags, word) is None:
+                    continue
+                if len(built) > seen:
+                    models[pair.pattern, pair.flags] = built[-1]
+                var, match_formula = models[pair.pattern, pair.flags]
+                old = to_nnf(conj([match_formula, Eq(var, StrConst(word))]))
+                assert recorder.formulas[-1] == old, (pair.pattern, word)
+                checked += 1
+        assert checked > 300
+
+    def test_global_and_sticky_words_each_start_at_zero(self):
+        cases = [
+            ("a", "g", ["a", "a", "ba", "", "a"]),
+            ("a", "y", ["a", "a", "ba", "a"]),
+            ("(a)b", "gy", ["ab", "ab", "cab", "ab"]),
+        ]
+        cases += [
+            (pair.pattern, pair.flags, pair.inputs)
+            for pair in generate_pairs(100, 1909)
+            if "g" in pair.flags or "y" in pair.flags
+        ]
+        oracle = DifferentialOracle(
+            [_FixedBackend(UNKNOWN, "mute")], timeout=TIMEOUT
+        )
+        for pattern, flags, words in cases:
+            for word in words:
+                outcome = oracle.check(pattern, flags, word)
+                if outcome is None:
+                    continue
+                fresh = RegExp(pattern, flags).exec(word)
+                expected = NOMATCH if fresh is None else MATCH
+                assert outcome.verdicts["matcher"] == expected, (
+                    pattern, flags, word
+                )
+
+    def test_unsupported_patterns_skip_once_per_check(self, monkeypatch):
+        from repro.model.api import SymbolicRegExp
+
+        oracle = DifferentialOracle(
+            [_FixedBackend(SAT, "eager")], timeout=TIMEOUT
+        )
+        assert oracle.check("(", "", "a") is None  # does not parse
+        assert oracle.check("(", "", "b") is None
+        assert oracle.counters["skipped"] == 2
+
+        def untranslatable(self, input_term, last_index=0):
+            raise NotImplementedError("no model")
+
+        monkeypatch.setattr(SymbolicRegExp, "exec_model", untranslatable)
+        assert oracle.check("ab", "", "ab") is None
+        assert oracle.check("ab", "", "x") is None
+        assert oracle.counters["skipped"] == 4
+        assert oracle.counters["checks"] == 0
 
 
 # -- shrinker -----------------------------------------------------------------

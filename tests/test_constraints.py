@@ -28,7 +28,7 @@ from repro.constraints import (
     to_nnf,
     variables_of,
 )
-from repro.constraints.printer import to_smtlib
+from repro.constraints.printer import canonical_fingerprint, to_smtlib
 from repro.regex import parse_regex
 
 x, y, z = StrVar("x"), StrVar("y"), StrVar("z")
@@ -113,6 +113,69 @@ class TestNNF:
     def test_formula_size(self):
         assert formula_size(Eq(x, y)) == 1
         assert formula_size(And((Eq(x, y), Eq(y, z)))) == 3
+
+
+def _rebuilt(formula):
+    """A structurally equal copy whose ``And``/``Or`` nodes are new."""
+    if isinstance(formula, And):
+        return And(tuple(map(_rebuilt, formula.operands)))
+    if isinstance(formula, Or):
+        return Or(tuple(map(_rebuilt, formula.operands)))
+    if isinstance(formula, Not):
+        return Not(_rebuilt(formula.operand))
+    return formula
+
+
+class TestNNFMark:
+    """``to_nnf`` marks what it returns and passes marked formulas through."""
+
+    phi = And(
+        (
+            Implies(Eq(x, y), Or((Eq(y, z), Not(And((Eq(x, z), TRUE)))))),
+            Not(Or((InRe(x, parse_regex("a+").body), Eq(z, Undef())))),
+            Eq(x, StrConst("k")),
+        )
+    )
+
+    def test_idempotent_by_identity(self):
+        nnf = to_nnf(self.phi)
+        assert nnf._nnf and nnf == to_nnf(_rebuilt(nnf))
+        assert to_nnf(nnf) is nnf
+
+    def test_marked_subtree_is_not_rewalked(self):
+        nnf = to_nnf(self.phi)
+        pinned = to_nnf(conj([nnf, Eq(y, StrConst("w"))]))
+        assert pinned == to_nnf(conj([self.phi, Eq(y, StrConst("w"))]))
+        shared = [
+            (a, b)
+            for a, b in zip(pinned.operands, nnf.operands)
+            if isinstance(b, (And, Or))
+        ]
+        assert shared and all(a is b for a, b in shared)
+
+    def test_negating_a_marked_formula(self):
+        nnf = to_nnf(self.phi)
+        assert to_nnf(nnf, negate=True) == to_nnf(Not(self.phi))
+
+    def test_mark_is_invisible(self):
+        marked = to_nnf(self.phi)
+        plain = _rebuilt(marked)
+        assert not plain._nnf
+        assert marked == plain and hash(marked) == hash(plain)
+        assert repr(marked) == repr(plain)
+        assert to_smtlib(marked) == to_smtlib(plain)
+        assert canonical_fingerprint(marked)[0] == (
+            canonical_fingerprint(plain)[0]
+        )
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        marked = to_nnf(self.phi)
+        for formula in (marked, _rebuilt(marked)):
+            copy = pickle.loads(pickle.dumps(formula))
+            assert copy == formula and hash(copy) == hash(formula)
+            assert copy._nnf == formula._nnf
 
 
 class TestSmtlibPrinter:

@@ -272,3 +272,29 @@ class TestWithExtraConstraints:
         word = result.model.eval_term(inp)
         assert RegExp(r"[0-9]+").test(word)
         assert not RegExp(r"^[0-9]+$").test(word)
+
+
+class TestSubtreeFacts:
+    """The translator's one-pass facts match a plain walk of each node."""
+
+    @pytest.mark.parametrize("seed", [1909, 7])
+    def test_facts_match_a_walk(self, seed):
+        from repro.conformance import generate_pairs
+        from repro.model import Translator
+        from repro.regex import ast
+
+        unrolled = (
+            ast.Backreference, ast.Lookahead, ast.WordBoundary, ast.Anchor
+        )
+        nodes = 0
+        for pair in generate_pairs(200, seed):
+            body = RegExp(pair.pattern, pair.flags).pattern.body
+            translator = Translator(body, {})
+            for node in ast.walk(translator.body):
+                nodes += 1
+                assert translator.facts(node) == (
+                    ast.groups_in(node),
+                    ast.is_purely_regular(node),
+                    any(isinstance(sub, unrolled) for sub in ast.walk(node)),
+                ), (pair.pattern, node)
+        assert nodes > 1000
