@@ -7,6 +7,9 @@ rewritings:
 
 - :func:`rewrite_lazy_to_greedy` — models are agnostic to matching
   precedence (refinement handles it), so lazy quantifiers are dropped;
+- :func:`rewrite_for_model` — the same walk also takes the
+  ``⟨``/``⟩`` meta-characters, which only contexts contain, out of the
+  pattern's character sets;
 - :func:`expand_repetition` — ``r{m,n} → rⁿ|...|rᵐ`` and ``r+ → r*r``
   (Table 1), with the §4.1 capture-correspondence handled structurally:
   the *last* copy of each duplicated group carries the pattern's capture
@@ -38,14 +41,13 @@ META_END = "〉"  # ⟩
 #: where the meta-characters legitimately appear.
 ANY_CHAR = ast.CharMatch(CharSet(((0, MAX_CODEPOINT),)), "[^]")
 
+_META_CHARS = CharSet.of(META_START + META_END)
+
 #: Any character an *input* may contain: everything except the reserved
 #: meta-characters.  The wrapper wildcard and lookahead tails absorb
 #: portions of the input, so they must not invent ``⟨``/``⟩``.
 INPUT_CHAR = ast.CharMatch(
-    CharSet(((0, MAX_CODEPOINT),)).difference(
-        CharSet.of(META_START + META_END)
-    ),
-    "[^〈〉]",
+    CharSet(((0, MAX_CODEPOINT),)).difference(_META_CHARS), "[^〈〉]"
 )
 
 #: ``[^〈〉]*`` — the language of well-formed inputs (sanity constraint
@@ -74,6 +76,30 @@ def rewrite_lazy_to_greedy(node: ast.Node) -> ast.Node:
             rewrite_lazy_to_greedy(node.child), node.min, node.max, lazy=False
         )
     return _map_children(node, rewrite_lazy_to_greedy)
+
+
+def rewrite_for_model(node: ast.Node) -> ast.Node:
+    """:func:`rewrite_lazy_to_greedy`, intersecting every character set
+    with :data:`INPUT_CHAR` in the same walk.
+
+    A pattern only ever matches characters of the input, which never
+    contains the meta-characters.  A class built by complement (``.``,
+    ``[^…]``, ``\\W``) would otherwise match the ``⟩`` that ends every
+    right context, and a negative lookahead such as ``(?!.)`` could not
+    hold at the end of the input.  Context languages keep
+    :data:`ANY_CHAR`.
+    """
+    if isinstance(node, ast.CharMatch):
+        if node.charset.overlaps(_META_CHARS):
+            return ast.CharMatch(
+                node.charset.intersect(INPUT_CHAR.charset), node.source
+            )
+        return node
+    if isinstance(node, ast.Quantifier):
+        return ast.Quantifier(
+            rewrite_for_model(node.child), node.min, node.max, lazy=False
+        )
+    return _map_children(node, rewrite_for_model)
 
 
 def expand_repetition(node: ast.Node, star_threshold: int = 8) -> ast.Node:

@@ -60,7 +60,7 @@ from repro.model.preprocess import (
     INPUT_CHAR,
     META_END,
     META_START,
-    rewrite_lazy_to_greedy,
+    rewrite_for_model,
 )
 
 
@@ -182,7 +182,7 @@ class Translator:
         captures: Dict[int, StrVar],
         config: Optional[ModelConfig] = None,
     ):
-        self.body = rewrite_lazy_to_greedy(body)
+        self.body = rewrite_for_model(body)
         self.captures = captures
         self.config = config or ModelConfig()
         self._facts = _subtree_facts(self.body)

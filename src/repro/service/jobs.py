@@ -388,6 +388,7 @@ class AnalyzeJob(_JobBase):
             "solver_seconds": result.stats.total_time(),
             "concat_refuted": result.stats.concat_refuted(),
             "prefixes_refuted": result.stats.prefixes_refuted(),
+            "literals_ingested": result.stats.literals_ingested(),
             "refined_queries": len(refined),
             "sum_refinements": sum(q.refinements for q in refined),
         }
@@ -495,6 +496,7 @@ class SolveJob(_JobBase):
         payload["solver_seconds"] = stats.total_time()
         payload["concat_refuted"] = stats.concat_refuted()
         payload["prefixes_refuted"] = stats.prefixes_refuted()
+        payload["literals_ingested"] = stats.literals_ingested()
         payload["refinements"] = sum(q.refinements for q in stats.queries)
         payload["backend_tallies"] = stats.backend_summary()
         payload["session_tallies"] = stats.session_summary()

@@ -162,6 +162,9 @@ def merge_analyze(results: Sequence[JobResult]) -> dict:
         "prefixes_refuted": sum(
             p.get("prefixes_refuted", 0) for p in payloads
         ),
+        "literals_ingested": sum(
+            p.get("literals_ingested", 0) for p in payloads
+        ),
         "refined_queries": refined,
         "mean_refinements": refinements / refined if refined else 0.0,
         "wall_time": sum(p["wall_time"] for p in payloads),
@@ -222,6 +225,9 @@ def merge_solve(results: Sequence[JobResult]) -> dict:
         ),
         "prefixes_refuted": sum(
             r.payload.get("prefixes_refuted", 0) for r in ok
+        ),
+        "literals_ingested": sum(
+            r.payload.get("literals_ingested", 0) for r in ok
         ),
     }
 
@@ -562,7 +568,8 @@ def format_batch_report(report: BatchReport) -> str:
             f"(mean {merged['mean_refinements']:.1f} refinements); "
             f"{merged['concat_refuted']} refuted by concatenation "
             f"(cores and prefixes), "
-            f"{merged['prefixes_refuted']} prefixes refuted"
+            f"{merged['prefixes_refuted']} prefixes refuted, "
+            f"{merged['literals_ingested']} literals ingested"
         )
 
     solve = report.of_kind("solve")
@@ -576,7 +583,8 @@ def format_batch_report(report: BatchReport) -> str:
             f"{merged['solver_seconds']:.2f}s; "
             f"{merged['concat_refuted']} refuted by concatenation "
             f"(cores and prefixes), "
-            f"{merged['prefixes_refuted']} prefixes refuted"
+            f"{merged['prefixes_refuted']} prefixes refuted, "
+            f"{merged['literals_ingested']} literals ingested"
         )
 
     fuzz = report.of_kind("fuzz")

@@ -968,6 +968,7 @@ def replay_result(
         ("solver_seconds", 0.0),
         ("concat_refuted", 0),
         ("prefixes_refuted", 0),
+        ("literals_ingested", 0),
         ("backend_tallies", {}),
         ("session_tallies", {}),
         ("route_tallies", {}),

@@ -21,6 +21,7 @@ from repro.obs import metrics as _metrics
 #: into :class:`QueryRecord` by callers that make several raw solves.
 WORK_COUNTERS = (
     "cores_tried", "candidates_tried", "concat_refuted", "prefixes_refuted",
+    "literals_ingested",
 )
 
 
@@ -44,6 +45,9 @@ class QueryRecord:
     #: Partial conjunctions refuted while enumerating cores (each one
     #: skips every core that extends it).
     prefixes_refuted: int = 0
+    #: Literals the solver's incremental core took in: a conjunction
+    #: re-ingests only those it does not share with the previous one.
+    literals_ingested: int = 0
 
 
 @dataclass
@@ -411,6 +415,11 @@ class SolverStats:
         """Partial conjunctions refuted during core enumeration, over all
         queries."""
         return sum(q.prefixes_refuted for q in self.queries)
+
+    def literals_ingested(self) -> int:
+        """Literals ingested by the solver's incremental cores, over all
+        queries."""
+        return sum(q.literals_ingested for q in self.queries)
 
     def _subset(self, predicate) -> List[QueryRecord]:
         return [q for q in self.queries if predicate(q)]

@@ -154,6 +154,30 @@ class TestOracle:
             assert outcome.verdicts["matcher"] == MATCH
             assert outcome.disagreement is None
 
+    #: Negated classes at the end of the input: the class must not match
+    #: the ``⟩`` marker that ends the right context, or the negative
+    #: lookahead reads UNSAT where the matcher matches.
+    END_MARKER_CASES = [
+        ("(?!.)", "", ""),
+        ("(?![^])", "", ""),
+        (r"(?!\W)", "", ""),
+        ("(?![^a])", "", ""),
+        ("(?!.+?)", "", ""),
+        ("a(?!.)", "", "a"),
+        ("(?!.)", "m", ""),
+        ("(?!.)", "u", ""),
+    ]
+
+    @pytest.mark.parametrize("pattern, flags, word", END_MARKER_CASES)
+    def test_negated_classes_do_not_match_the_end_marker(
+        self, pattern, flags, word
+    ):
+        assert RegExp(pattern, flags).exec(word) is not None
+        oracle = DifferentialOracle(["native"], timeout=TIMEOUT)
+        outcome = oracle.check(pattern, flags, word)
+        assert outcome.verdicts == {"matcher": MATCH, "native": MATCH}
+        assert outcome.disagreement is None
+
     def test_planted_backend_disagrees_on_trigger(self):
         oracle = DifferentialOracle(
             ["native", "planted:"], timeout=TIMEOUT

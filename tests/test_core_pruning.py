@@ -12,12 +12,15 @@ the concrete ES6 matcher.
 
 import itertools
 import random
+import re
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.constraints import (
-    And, Eq, Or, StrConst, StrVar, UNDEF, Undef, concat, conj,
+    And, Eq, Not, Or, StrConst, StrVar, UNDEF, Undef, concat, conj,
 )
 from repro.constraints.formulas import BoolLit, to_nnf
 from repro.conformance import generate_pairs
@@ -45,6 +48,14 @@ def pinned(pattern, flags, word):
     var = StrVar("input")
     model = SymbolicRegExp(pattern, flags).exec_model(var)
     return conj([model.match_formula, Eq(var, StrConst(word))])
+
+
+def pinned_words(pattern, flags, words):
+    """:func:`pinned` for several words, sharing one model as the oracle
+    does: the formulas differ only in their last literal."""
+    var = StrVar("input")
+    model = to_nnf(SymbolicRegExp(pattern, flags).exec_model(var).match_formula)
+    return [to_nnf(conj([model, Eq(var, StrConst(word))])) for word in words]
 
 
 def full_dnf(nnf):
@@ -238,6 +249,24 @@ def test_negated_membership_of_string_parts_is_refuted():
     assert Solver(timeout=2.0).solve(formula).status == UNSAT
 
 
+def test_a_free_variable_outside_every_language_is_undef():
+    # Nothing makes ``y`` a string, and ⊥ is in no language.
+    for formula in (
+        outside_everything(y),
+        conj([member(y, "[^]+", positive=False), Not(Eq(y, StrConst("")))]),
+    ):
+        result = Solver(timeout=2.0).solve(formula)
+        assert result.status == SAT, formula
+        assert result.model[y] is UNDEF
+
+
+def test_a_variable_in_a_concatenation_is_never_undef():
+    formula = conj([
+        outside_everything(y), Eq(x, concat(y, StrConst("a"))),
+    ])
+    assert Solver(timeout=2.0).solve(formula).status == UNSAT
+
+
 # -- what concat_refuted counts ----------------------------------------------------
 
 def test_concat_refuted_counts_cores_and_prefixes():
@@ -293,10 +322,12 @@ def _random_conjuncts(rng, depth):
     return conjuncts
 
 
-def random_formula(rng):
+def random_formula(rng, definitions_last=False):
     """``(formula, definitions, tree)``: definitions of ``x*`` over the
     base variables (as in ``test_concat_refutation``) conjoined with a
-    random and/or tree of splits, ⊥ bindings and memberships."""
+    random and/or tree of splits, ⊥ bindings and memberships.  With
+    ``definitions_last`` the definitions follow the tree, so a core
+    ingests them after the memberships its choices took."""
     definitions = {}
     units = []
     for i, var in enumerate(DEFINED):
@@ -305,7 +336,11 @@ def random_formula(rng):
         parts = _random_parts(rng, BASES[:-1] + DEFINED[:i])
         definitions[var] = parts
         units.append(("eq", var, parts))
-    tree = ("and", units + _random_conjuncts(rng, 0))
+    conjuncts = _random_conjuncts(rng, 0)
+    if definitions_last:
+        tree = ("and", conjuncts + units)
+    else:
+        tree = ("and", units + conjuncts)
     return _to_formula(tree), definitions, tree
 
 
@@ -442,3 +477,221 @@ def test_dse_query_records_carry_the_work_counters(level):
     assert records
     assert sum(record.cores_tried for record in records) > 0
     assert sum(record.candidates_tried for record in records) > 0
+
+
+# -- the incremental core ----------------------------------------------------------
+
+def core_state(core):
+    """Everything a core's verdicts and searches read, as text: the
+    union-find, the classes in order (merged ones too), the checks,
+    splits and disequalities, and the ingested literals.  Bridge
+    variables get fresh names from a global counter, so they are
+    renamed by first appearance."""
+    def class_state(cls):
+        return (
+            cls.rep, cls.merged, cls.members, cls.const, cls.undef,
+            [id(regex) for regex in cls.pos_regexes],
+            [id(regex) for regex in cls.neg_regexes],
+            cls.definition, sorted(cls.excluded), sorted(cls.hints),
+            [id(dfa) for dfa in cls.extra_dfas],
+            [user.rep for user in cls.users],
+        )
+
+    text = repr((
+        list(core.parent.items()),
+        [(rep, class_state(cls)) for rep, cls in core.classes.items()],
+        core.checks, core.neqs, core.splits,
+        [id(literal) for literal in core.literals], core._conflict,
+    ))
+    names = {}
+    return re.sub(
+        r"\beq!\d+",
+        lambda match: names.setdefault(match.group(), f"eq#{len(names)}"),
+        text,
+    )
+
+
+def fresh_state(solver, literals):
+    core = solver_core._Core(solver)
+    core._load(literals)
+    return core_state(core)
+
+
+def cross_checked_cores(monkeypatch):
+    """Make every core judge each conjunction twice, incrementally and
+    on a new core, and compare its state after every backtrack, and
+    after every verdict, with a new core's intake of the same literals.
+    Returns the tally of the comparisons made."""
+    real_refuted = solver_core._Core.refuted
+    real_solve = solver_core._Core.solve
+    real_backtrack = solver_core._Core._backtrack
+    tally = {"prefixes": 0, "leaves": 0, "backtracks": 0}
+
+    def fresh_verdict(solver, literals):
+        core = solver_core._Core(solver)
+        return real_refuted(core, literals), core.concat_refuted
+
+    def refuted(self, literals):
+        verdict = real_refuted(self, literals)
+        assert (verdict, self.concat_refuted) == fresh_verdict(
+            self.solver, literals
+        ), literals
+        assert core_state(self) == fresh_state(self.solver, self.literals)
+        tally["prefixes"] += 1
+        return verdict
+
+    def solve(self, literals, deadline, limit):
+        result = real_solve(self, literals, deadline, limit)
+        assert (
+            self.structurally_refuted, self.concat_refuted
+        ) == fresh_verdict(self.solver, literals), literals
+        assert core_state(self) == fresh_state(self.solver, self.literals)
+        tally["leaves"] += 1
+        return result
+
+    def backtrack(self, keep):
+        real_backtrack(self, keep)
+        assert core_state(self) == fresh_state(self.solver, self.literals)
+        tally["backtracks"] += 1
+
+    monkeypatch.setattr(solver_core._Core, "refuted", refuted)
+    monkeypatch.setattr(solver_core._Core, "solve", solve)
+    monkeypatch.setattr(solver_core._Core, "_backtrack", backtrack)
+    return tally
+
+
+def test_incremental_verdicts_equal_fresh_cores_on_the_seeded_corpus(
+    monkeypatch,
+):
+    tally = cross_checked_cores(monkeypatch)
+    rng = random.Random(20190622)
+    solver = Solver(timeout=2.0, round_limits=(12,))
+    for _ in range(300):
+        formula, _, _ = random_formula(rng)
+        solver.solve(formula)
+    assert tally["prefixes"] >= 300
+    assert tally["leaves"] >= 300
+    assert tally["backtracks"] >= 300
+
+
+def test_a_definition_after_a_choice_sees_the_chosen_membership(
+    monkeypatch,
+):
+    # ``c = x ++ y`` is ingested after the choice for ``x``, so what is
+    # known of ``c`` differs between the options: under ``x ∈ L(a)``
+    # the membership of ``c ++ z`` is refuted, under ``x ∈ L(b)`` it is
+    # not.
+    tally = cross_checked_cores(monkeypatch)
+    c, z = StrVar("c"), StrVar("z")
+    head = [member(concat(c, z), "b"), Or((member(x, "a"), member(x, "b")))]
+    definition = Eq(c, concat(x, y))
+    one_choice = conj(head + [definition])
+    two_choices = conj(head + [Or((member(z, "a"), member(z, ""))), definition])
+    solver = Solver(timeout=2.0)
+    for formula in (one_choice, two_choices):
+        result = solver.solve(formula)
+        assert result.status == SAT
+        assert (result.model[x], result.model[y]) == ("b", "")
+    assert tally["leaves"] >= 4
+
+
+def test_incremental_verdicts_equal_fresh_cores_when_definitions_follow_choices(
+    monkeypatch,
+):
+    tally = cross_checked_cores(monkeypatch)
+    rng = random.Random(1909)
+    solver = Solver(timeout=2.0, round_limits=(12,))
+    for _ in range(300):
+        formula, definitions, tree = random_formula(rng, definitions_last=True)
+        if solver.solve(formula).status == UNSAT:
+            model = bounded_model(definitions, tree)
+            assert model is None, (formula, model)
+    assert tally["prefixes"] >= 300
+    assert tally["leaves"] >= 300
+    assert tally["backtracks"] >= 300
+
+
+def test_incremental_verdicts_equal_fresh_cores_on_pinned_fuzz_formulas(
+    monkeypatch,
+):
+    tally = cross_checked_cores(monkeypatch)
+    # One solver for every query, as in the oracle: the words of a
+    # pattern start from the previous word's state.
+    solver = Solver(timeout=0.5)  # leaves the deepening rounds a budget
+    for pair in generate_pairs(12, 1909):
+        try:
+            RegExp(pair.pattern, pair.flags)
+            formulas = pinned_words(pair.pattern, pair.flags, pair.inputs)
+        except Exception:
+            continue  # outside the modelled fragment
+        for formula in formulas:
+            solver.solve(formula)
+    assert tally["prefixes"] >= 100
+    assert tally["leaves"] >= 30
+    assert tally["backtracks"] >= 100
+
+
+def test_queries_sharing_literals_share_their_intake():
+    pattern, flags = r"(a|b)+c(?!\d)", ""
+    words = ["abc", "ab", "bbc", "abc1"]
+    shared = Solver(timeout=5.0)
+    statuses, ingested = [], []
+    for formula in pinned_words(pattern, flags, words):
+        fresh = Solver(timeout=5.0).solve(formula)
+        reused = shared.solve(formula)
+        assert (reused.status, reused.prefixes_refuted) == (
+            fresh.status, fresh.prefixes_refuted
+        )
+        statuses.append(reused.status)
+        ingested.append((reused.literals_ingested, fresh.literals_ingested))
+    assert statuses == [SAT, UNSAT, SAT, UNSAT]
+    assert ingested[0][0] == ingested[0][1]
+    # From the second word on, the shared literals stay ingested.
+    assert all(reused < fresh for reused, fresh in ingested[1:])
+    # A formula sharing no literal starts over with empty memo tables.
+    shared.solve(conj([member(x, "a"), member(x, "b")]))
+    assert shared._cores[-1].memo_size() < 10
+
+
+def test_concurrent_queries_on_one_solver_do_not_share_a_core():
+    formulas = pinned_words(r"(a|b)+c(?!\d)", "", ["abc", "ab", "bbc", "abc1"])
+    expected = [Solver(timeout=5.0).solve(f).status for f in formulas]
+    shared = Solver(timeout=5.0)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the queries' bytecodes
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            statuses = list(pool.map(
+                lambda formula: shared.solve(formula).status, formulas * 5
+            ))
+    finally:
+        sys.setswitchinterval(switch)
+    assert statuses == expected * 5
+
+
+def test_leaves_refuted_structurally_are_not_solved_again():
+    # The leaf of ``outside`` is refuted by concatenation in round 0.
+    # The satisfiable leaf next to it needs a deeper round, which skips
+    # the refuted one; its literals are still ingested, so it re-ingests
+    # none.
+    solves = []
+    real_solve = solver_core._Core.solve
+
+    def counting(self, literals, deadline, limit):
+        solves.append(limit)
+        return real_solve(self, literals, deadline, limit)
+
+    z = StrVar("z")
+    outside = conj([outside_everything(x, y), member(x, "a"), member(y, "a")])
+    deep = conj([member(z, "[a-c]{3}"), member(concat(z, z), "(cba){2}")])
+    stats = SolverStats()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(solver_core._Core, "solve", counting)
+        result = Solver(timeout=5.0, round_limits=(1, 80), stats=stats).solve(
+            Or((outside, deep))
+        )
+    assert result.status == SAT
+    assert solves == [1, 1, 80]
+    assert result.cores_tried == 4  # the skipped leaf still counts
+    assert result.literals_ingested == 5
+    assert stats.queries[-1].literals_ingested == 5

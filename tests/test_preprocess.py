@@ -3,6 +3,7 @@
 from repro.regex import RegExp, parse_regex
 from repro.regex.ast import (
     Alternation,
+    CharMatch,
     Concat,
     Empty,
     Group,
@@ -16,6 +17,7 @@ from repro.model.preprocess import (
     META_START,
     expand_repetition,
     preprocess,
+    rewrite_for_model,
     rewrite_lazy_to_greedy,
     wildcard,
     wrap_for_exec,
@@ -45,6 +47,23 @@ class TestLazyRewriting:
             assert RegExp(f"^(?:{src})$").test(word) == RegExp(
                 f"^(?:{rewritten})$"
             ).test(word)
+
+
+class TestRewriteForModel:
+    def test_character_sets_exclude_the_meta_characters(self):
+        node = rewrite_for_model(parse(r"(?:.|[^a]|\W)+?b"))
+        sets = [n.charset for n in walk(node) if isinstance(n, CharMatch)]
+        assert len(sets) == 4
+        for charset in sets:
+            assert META_START not in charset and META_END not in charset
+        assert all("-" in charset for charset in sets[:3])
+        assert all(
+            not n.lazy for n in walk(node) if isinstance(n, Quantifier)
+        )
+
+    def test_sets_without_meta_characters_are_kept(self):
+        body = parse("[a-c]")
+        assert rewrite_for_model(body) is body
 
 
 class TestRepetitionExpansion:

@@ -80,6 +80,19 @@ class TestMergeAnalyze:
         )
         assert "7 prefixes refuted" in solver_line
 
+    def test_literals_ingested_sums_onto_the_solver_line(self):
+        results = [
+            analyze_result("a", 6, 10, literals_ingested=40),
+            analyze_result("b", 10, 10, literals_ingested=2),
+            analyze_result("c", 1, 10),  # payload from before the counter
+        ]
+        assert merge_analyze(results)["literals_ingested"] == 42
+        text = format_batch_report(BatchReport(results=results))
+        solver_line = next(
+            line for line in text.splitlines() if line.startswith("solver:")
+        )
+        assert "42 literals ingested" in solver_line
+
     def test_empty(self):
         merged = merge_analyze([])
         assert merged["coverage"] == 0.0
@@ -107,6 +120,7 @@ class TestMergeSolve:
         assert merged["failed_jobs"] == 1
         assert merged["solver_queries"] == 3
         assert merged["prefixes_refuted"] == 0
+        assert merged["literals_ingested"] == 0
 
 
 class TestMergeBackendTallies:
