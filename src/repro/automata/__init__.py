@@ -8,11 +8,7 @@ candidate generation).
 """
 
 from repro.automata.build import NotRegularError, erase_captures, to_nfa
-from repro.automata.cache import (
-    AutomataInterner,
-    DfaDiskStore,
-    node_fingerprint,
-)
+from repro.automata.cache import AutomataInterner, node_fingerprint
 from repro.automata.dfa import Dfa, determinize
 from repro.automata.lazy import (
     LazyProduct,
@@ -37,7 +33,6 @@ from repro.automata.visualize import to_dot
 __all__ = [
     "AutomataInterner",
     "Dfa",
-    "DfaDiskStore",
     "LazyProduct",
     "LazyUnion",
     "Nfa",

@@ -13,12 +13,10 @@ This module provides the two layers that stop that:
   objects (or the same pattern parsed in two processes) intern to one
   automaton.
 
-- :class:`DfaDiskStore` — a versioned directory of compiled DFAs keyed
-  by fingerprint, so separate batch invocations (and separate worker
-  processes pointed at the same path) share compilation work.  Entries
-  are written atomically (temp file + ``os.replace``) and read
-  defensively: a truncated, corrupted, or version-mismatched entry is
-  treated as a miss and removed, never an error.
+- ``DFA_CODEC`` — the entry format of compiled DFAs in a
+  :class:`~repro.diskstore.DiskStore` keyed by fingerprint, so separate
+  batch invocations (and separate worker processes pointed at the same
+  path) share compilation work.
 
 :func:`repro.automata.ops.dfa_for` consults the interner (and through
 it the store); ``--automata-cache PATH`` on the CLI and the service
@@ -28,12 +26,10 @@ layer's ``automata_cache`` knobs attach a store.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import weakref
 from typing import Callable, Dict, List, Optional
 
-from repro import faults
+from repro.diskstore import Codec, DiskStore, attach
 from repro.obs import metrics as _metrics
 from repro.regex import ast
 from repro.regex.charclass import CharSet
@@ -45,30 +41,6 @@ FINGERPRINT_VERSION = 1
 #: Bump when the on-disk blob layout changes; old entries are ignored.
 STORE_VERSION = 1
 _MAGIC = "repro-automata"
-
-#: Every live store handle in this process (weak), for the aggregate
-#: corruption counters in ``obs.snapshot()`` / the daemon ``health`` op.
-_OPEN_STORES: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def dfa_store_counters() -> Dict[str, int]:
-    """Aggregate counters over every live automata store in this
-    process; ``corrupt_evictions`` counts entries the defensive read
-    path evicted as garbled rather than served."""
-    totals = {
-        "open_stores": 0,
-        "loads": 0,
-        "stores": 0,
-        "failures": 0,
-        "corrupt_evictions": 0,
-    }
-    for store in list(_OPEN_STORES):
-        totals["open_stores"] += 1
-        totals["loads"] += store.loads
-        totals["stores"] += store.stores
-        totals["failures"] += store.failures
-        totals["corrupt_evictions"] += store.corrupt_evictions
-    return totals
 
 
 # -- structural fingerprints --------------------------------------------------
@@ -168,82 +140,16 @@ def dfa_from_blob(blob: tuple) -> Dfa:
     )
 
 
-# -- the on-disk store --------------------------------------------------------
-
-
-class DfaDiskStore:
-    """Fingerprint-keyed directory of compiled DFAs.
-
-    Layout: ``<path>/v<STORE_VERSION>/<fingerprint>.dfa`` — the version
-    segment means a format bump simply stops seeing old entries instead
-    of tripping over them.  All I/O is best-effort: the store is a
-    cache, so an unwritable directory or a corrupt entry degrades to
-    compilation, never to failure.
-    """
-
-    def __init__(self, path: str):
-        self.root = path
-        self.path = os.path.join(path, f"v{STORE_VERSION}")
-        os.makedirs(self.path, exist_ok=True)
-        self.loads = 0
-        self.stores = 0
-        self.failures = 0
-        #: Entries evicted by the defensive read path specifically.
-        self.corrupt_evictions = 0
-        _OPEN_STORES.add(self)
-
-    def _entry(self, fingerprint: str) -> str:
-        return os.path.join(self.path, f"{fingerprint}.dfa")
-
-    def get(self, fingerprint: str) -> Optional[Dfa]:
-        entry = self._entry(fingerprint)
-        # Chaos hook: an installed fault plan may scribble over the
-        # entry here, exercising the defensive read path below.
-        faults.corrupt_file("dfa_store:get", entry, fingerprint=fingerprint)
-        try:
-            with open(entry, "rb") as handle:
-                blob = pickle.load(handle)
-            dfa = dfa_from_blob(blob)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated write, foreign file, stale format: drop and recompile.
-            self.failures += 1
-            self.corrupt_evictions += 1
-            _metrics.count("automata_store_total", op="failure")
-            try:
-                os.unlink(entry)
-            except OSError:
-                pass
-            return None
-        self.loads += 1
-        _metrics.count("automata_store_total", op="load")
-        return dfa
-
-    def put(self, fingerprint: str, dfa: Dfa) -> None:
-        entry = self._entry(fingerprint)
-        tmp = f"{entry}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump(dfa_to_blob(dfa), handle, protocol=4)
-            os.replace(tmp, entry)  # atomic: readers never see a partial file
-            self.stores += 1
-            _metrics.count("automata_store_total", op="store")
-        except OSError:
-            self.failures += 1
-            _metrics.count("automata_store_total", op="failure")
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def __len__(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.path) if name.endswith(".dfa")
-            )
-        except OSError:
-            return 0
+#: Compiled DFAs on disk: ``<path>/v1/<fingerprint>.dfa``.  Unlike
+#: the other kinds, a blob does not repeat its key (the format predates
+#: the shared store), so a DFA filed under a foreign key is served.
+DFA_CODEC = Codec(
+    "dfa",
+    STORE_VERSION,
+    "dfa",
+    lambda fingerprint, dfa: pickle.dumps(dfa_to_blob(dfa), protocol=4),
+    lambda fingerprint, data: dfa_from_blob(pickle.loads(data)),
+)
 
 
 # -- the interner -------------------------------------------------------------
@@ -260,7 +166,7 @@ class AutomataInterner:
     def __init__(self):
         self._dfas: Dict[str, Dfa] = {}
         self._complements: Dict[str, Dfa] = {}
-        self.store: Optional[DfaDiskStore] = None
+        self.store: Optional[DiskStore] = None
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -270,24 +176,12 @@ class AutomataInterner:
     def attach_store(self, path: Optional[str]) -> None:
         """Attach (or with ``None`` detach) an on-disk store.
 
-        Re-attaching the same path keeps the existing handle so its
-        load/store counters survive across jobs in one process.  An
-        unusable path (unwritable, parent is a file, ...) degrades to
-        memory-only interning — the store is a cache, never a failure
-        source (a batch worker must not crash on a bad cache dir).  A
-        non-string ``path`` is used directly as a store-shaped object
-        (cluster worker nodes pass a
-        :class:`~repro.cluster.remotestore.RemoteDfaStore` here).
+        Same rules as the query cache (:func:`repro.diskstore.attach`):
+        re-attaching keeps the handle and its counters, an unusable path
+        means memory-only interning, and a non-string ``path`` is a
+        store-shaped object used directly.
         """
-        if path is None:
-            self.store = None
-        elif not isinstance(path, str):
-            self.store = path
-        elif self.store is None or self.store.root != path:
-            try:
-                self.store = DfaDiskStore(path)
-            except OSError:
-                self.store = None
+        self.store = attach(self.store, path, DFA_CODEC)
 
     def reset(self) -> None:
         """Forget everything: memory, counters, and the disk handle."""

@@ -10,9 +10,9 @@ Caching is layered (fastest first):
    for repeated literals inside one solver run;
 2. the fingerprint-keyed :class:`~repro.automata.cache.AutomataInterner`,
    canonical across group/laziness syntax and across AST identities;
-3. an optional on-disk :class:`~repro.automata.cache.DfaDiskStore`
-   (attach with :func:`configure_automata_cache`) shared across
-   processes and batch invocations.
+3. an optional :class:`~repro.diskstore.DiskStore` of DFAs (attach
+   with :func:`configure_automata_cache`) shared across processes and
+   batch invocations.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ that opens with ``register`` instead of ``submit``.
   jobs on its own :class:`~repro.service.runner.BatchRunner`, and
   reconnects with backoff after partitions.  Hosts the ``node:kill``,
   ``cluster:heartbeat``, and ``cluster:partition`` fault sites.
-- :mod:`repro.cluster.remotestore` — read-through store adapters that
-  make a worker's query/automata caches fall back to the
-  coordinator's disk stores (canonical fingerprints are already
-  host-independent keys).
+- :mod:`repro.cluster.remotestore` — the read-through
+  :class:`~repro.cluster.remotestore.RemoteStore` that makes a worker's
+  query/automata caches fall back to the coordinator's disk stores
+  (canonical fingerprints are already host-independent keys).
 
 Degraded mode is structural, not a code path: the scheduler prefers a
 ready remote worker and otherwise falls through to the untouched local

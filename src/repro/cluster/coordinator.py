@@ -29,15 +29,23 @@ from __future__ import annotations
 
 import base64
 import itertools
-import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro import obs
+from repro.automata.cache import DFA_CODEC
+from repro.diskstore import DiskStore
 from repro.faults.retry import lease_lost_result
 from repro.obs import metrics as _metrics
 from repro.serve import protocol
 from repro.service.jobs import JobResult, _JobBase
+from repro.solver.backends.cached import QUERY_CODEC
+
+#: Store name on the wire → (the ``ClusterConfig`` path field, codec).
+_STORES = {
+    "query": ("query_cache", QUERY_CODEC),
+    "dfa": ("automata_cache", DFA_CODEC),
+}
 
 
 @dataclass
@@ -127,36 +135,29 @@ class ClusterCoordinator:
         self.cache_put_failures = 0
         # Store handles are opened lazily: the daemon's own runner may
         # share the same directories and the handles are cheap.
-        self._query_store = None
-        self._dfa_store = None
+        self._stores: Dict[str, DiskStore] = {}
 
     # -- stores ----------------------------------------------------------------
 
     def _stores_offered(self) -> dict:
         return {
-            "query": bool(self.config.query_cache),
-            "dfa": bool(self.config.automata_cache),
+            name: bool(getattr(self.config, attr))
+            for name, (attr, _) in _STORES.items()
         }
 
-    def _get_query_store(self):
-        if self._query_store is None and self.config.query_cache:
-            from repro.solver.backends.cached import QueryDiskStore
-
-            try:
-                self._query_store = QueryDiskStore(self.config.query_cache)
-            except OSError:
-                self.config.query_cache = None
-        return self._query_store
-
-    def _get_dfa_store(self):
-        if self._dfa_store is None and self.config.automata_cache:
-            from repro.automata.cache import DfaDiskStore
-
-            try:
-                self._dfa_store = DfaDiskStore(self.config.automata_cache)
-            except OSError:
-                self.config.automata_cache = None
-        return self._dfa_store
+    def _store(self, name: str) -> Optional[DiskStore]:
+        """The coordinator's store of one kind; ``None`` when it is not
+        offered (an unusable directory stops being offered)."""
+        store = self._stores.get(name)
+        if store is None and name in _STORES:
+            attr, codec = _STORES[name]
+            path = getattr(self.config, attr)
+            if path:
+                try:
+                    store = self._stores[name] = DiskStore(path, codec)
+                except OSError:
+                    setattr(self.config, attr, None)
+        return store
 
     # -- registration and liveness ---------------------------------------------
 
@@ -389,23 +390,10 @@ class ClusterCoordinator:
 
     def handle_cache_get(self, connection, frame: dict) -> None:
         self.cache_gets += 1
-        request_id = frame.get("id")
         key = frame["key"]
-        blob = None
-        if frame["store"] == "query":
-            store = self._get_query_store()
-            entry = store.get(key) if store is not None else None
-            if entry is not None:
-                blob = pickle.dumps(
-                    (entry.status, entry.assignment), protocol=4
-                )
-        else:
-            store = self._get_dfa_store()
-            dfa = store.get(key) if store is not None else None
-            if dfa is not None:
-                from repro.automata.cache import dfa_to_blob
-
-                blob = pickle.dumps(dfa_to_blob(dfa), protocol=4)
+        store = self._store(frame["store"])
+        value = store.get(key) if store is not None else None
+        blob = None if value is None else store.codec.dumps(key, value)
         if blob is not None:
             self.cache_hits += 1
         _metrics.count(
@@ -415,7 +403,7 @@ class ClusterCoordinator:
         )
         connection.send(
             protocol.cache_value_frame(
-                request_id,
+                frame.get("id"),
                 blob is not None,
                 None
                 if blob is None
@@ -426,30 +414,13 @@ class ClusterCoordinator:
     def handle_cache_put(self, connection, frame: dict) -> None:
         self.cache_puts += 1
         try:
-            blob = pickle.loads(base64.b64decode(frame.get("blob") or ""))
-            if frame["store"] == "query":
-                from repro.solver.backends.cached import CachedResult
-
-                store = self._get_query_store()
-                if store is not None:
-                    status, assignment = blob
-                    store.put(
-                        frame["key"],
-                        CachedResult(
-                            str(status),
-                            None
-                            if assignment is None
-                            else tuple(
-                                (str(n), v) for n, v in assignment
-                            ),
-                        ),
-                    )
-            else:
-                from repro.automata.cache import dfa_from_blob
-
-                store = self._get_dfa_store()
-                if store is not None:
-                    store.put(frame["key"], dfa_from_blob(blob))
+            key = frame["key"]
+            store = self._store(frame["store"])
+            if store is not None:
+                # Validate before writing: a put that does not decode
+                # under the codec never reaches the disk.
+                blob = base64.b64decode(frame.get("blob") or "")
+                store.put(key, store.codec.loads(key, blob))
             _metrics.count("cluster_cache_total", op="put", outcome="ok")
         except Exception:
             # The store is a cache: a malformed put is dropped, counted,

@@ -1,64 +1,78 @@
-"""Read-through store adapters over the coordinator's cache service.
+"""Read-through store over the coordinator's cache service.
 
 A worker node's query cache and automata interner normally fall back
-to *disk* stores (:class:`~repro.solver.backends.cached.QueryDiskStore`
-/ :class:`~repro.automata.cache.DfaDiskStore`).  These adapters present
-the same duck interface — ``get``/``put``/counters/``root`` — but are
-backed by ``cache_get``/``cache_put`` frames to the coordinator, so a
-fresh node warms itself from the fleet's shared answers instead of
-re-solving and re-compiling what any other node already paid for.
-Canonical fingerprints are host-independent, which is what makes the
-keys meaningful across machines.
+to a :class:`~repro.diskstore.DiskStore`.  :class:`RemoteStore` has the
+same duck interface — ``get``/``put``/counters/``root`` — but is backed
+by ``cache_get``/``cache_put`` frames to the coordinator, so a fresh
+node warms itself from the fleet's shared answers instead of re-solving
+and re-compiling what any other node already paid for.  Canonical
+fingerprints are host-independent, which is what makes the keys
+meaningful across machines.
 
-Everything is best-effort, exactly like the disk stores: a timed-out
-or failed round trip is a miss (counted in ``failures``), an
-undecodable blob is evicted-as-miss (counted in ``corrupt_evictions``),
-and puts are fire-and-forget — the network is a cache tier, never a
-failure source.
+The wire blob is the codec's entry bytes, and the store name on the
+wire is the codec's name.  Everything is best-effort, exactly like the
+disk store: a timed-out or failed round trip is a miss (counted in
+``failures``), an undecodable blob is evicted-as-miss (counted in
+``corrupt_evictions``), and puts are fire-and-forget — the network is a
+cache tier, never a failure source.
 
 The channel (``cache_get(store, key)`` / ``cache_put(store, key,
 blob)``) is the :class:`~repro.cluster.worker.WorkerNode`'s pending-
-request table over its coordinator socket; blobs are raw pickle bytes
-(base64 framing is the channel's concern).
+request table over its coordinator socket (base64 framing is the
+channel's concern).
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Optional
+from typing import Any, Optional
+
+from repro.diskstore import Codec
 
 
-class _RemoteStoreBase:
-    """Shared shape of both adapters (the disk stores' duck type)."""
+class RemoteStore:
+    """One codec's entries, read through the coordinator."""
 
-    store_name = ""
+    max_entries = None  # the coordinator's store owns eviction
 
-    def __init__(self, channel):
+    def __init__(self, channel, codec: Codec):
         self._channel = channel
-        self.root = f"remote://{self.store_name}"
-        self.max_entries = None
+        self.codec = codec
+        self.root = f"remote://{codec.name}"
         self.loads = 0
         self.stores = 0
         self.failures = 0
         self.evictions = 0
         self.corrupt_evictions = 0
 
-    def _fetch(self, key: str) -> Optional[bytes]:
+    def get(self, key: str) -> Optional[Any]:
         try:
-            return self._channel.cache_get(self.store_name, key)
+            blob = self._channel.cache_get(self.codec.name, key)
         except Exception:
             self.failures += 1
             return None
-
-    def _ship(self, key: str, blob: bytes) -> None:
+        if blob is None:
+            return None
         try:
-            self._channel.cache_put(self.store_name, key, blob)
-            self.stores += 1
+            value = self.codec.loads(key, blob)
         except Exception:
             self.failures += 1
+            self.corrupt_evictions += 1
+            return None
+        self.loads += 1
+        return value
+
+    def put(self, key: str, value: Any) -> None:
+        try:
+            self._channel.cache_put(
+                self.codec.name, key, self.codec.dumps(key, value)
+            )
+        except Exception:
+            self.failures += 1
+            return
+        self.stores += 1
 
     def gc(self) -> int:
-        return 0  # the coordinator's store owns eviction
+        return 0
 
     def __len__(self) -> int:
         return 0
@@ -68,62 +82,3 @@ class _RemoteStoreBase:
         # runner truth-tests ``config.query_cache`` / ``automata_cache``
         # before attaching, and those slots may hold this adapter.
         return True
-
-
-class RemoteQueryStore(_RemoteStoreBase):
-    """Query-store adapter: entries are ``(status, assignment)`` blobs."""
-
-    store_name = "query"
-
-    def get(self, fingerprint: str):
-        blob = self._fetch(fingerprint)
-        if blob is None:
-            return None
-        from repro.solver.backends.cached import CachedResult
-
-        try:
-            status, assignment = pickle.loads(blob)
-            result = CachedResult(
-                str(status),
-                None
-                if assignment is None
-                else tuple((str(n), v) for n, v in assignment),
-            )
-        except Exception:
-            self.corrupt_evictions += 1
-            self.failures += 1
-            return None
-        self.loads += 1
-        return result
-
-    def put(self, fingerprint: str, entry) -> None:
-        self._ship(
-            fingerprint,
-            pickle.dumps((entry.status, entry.assignment), protocol=4),
-        )
-
-
-class RemoteDfaStore(_RemoteStoreBase):
-    """Automata-store adapter: entries are ``dfa_to_blob`` pickles."""
-
-    store_name = "dfa"
-
-    def get(self, fingerprint: str):
-        blob = self._fetch(fingerprint)
-        if blob is None:
-            return None
-        from repro.automata.cache import dfa_from_blob
-
-        try:
-            dfa = dfa_from_blob(pickle.loads(blob))
-        except Exception:
-            self.corrupt_evictions += 1
-            self.failures += 1
-            return None
-        self.loads += 1
-        return dfa
-
-    def put(self, fingerprint: str, dfa) -> None:
-        from repro.automata.cache import dfa_to_blob
-
-        self._ship(fingerprint, pickle.dumps(dfa_to_blob(dfa), protocol=4))

@@ -281,18 +281,21 @@ class WorkerNode:
             # only: the store adapters hold this node's socket channel,
             # which cannot cross into pool worker processes — those
             # keep whatever local store paths they were configured with.
-            from repro.cluster.remotestore import (
-                RemoteDfaStore,
-                RemoteQueryStore,
-            )
+            from repro.automata.cache import DFA_CODEC
+            from repro.cluster.remotestore import RemoteStore
+            from repro.solver.backends.cached import QUERY_CODEC
 
             if self._caches.get("query") and not self.runner.config.query_cache:
-                self.runner.config.query_cache = RemoteQueryStore(self)
+                self.runner.config.query_cache = RemoteStore(
+                    self, QUERY_CODEC
+                )
             if (
                 self._caches.get("dfa")
                 and not self.runner.config.automata_cache
             ):
-                self.runner.config.automata_cache = RemoteDfaStore(self)
+                self.runner.config.automata_cache = RemoteStore(
+                    self, DFA_CODEC
+                )
         self.runner.start()
 
     def _close_socket(self) -> None:

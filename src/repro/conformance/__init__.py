@@ -14,9 +14,9 @@ This package turns that claim into a continuously-checkable workload:
   word", with UNKNOWN tolerated and contradictions flagged;
 - :mod:`repro.conformance.triage` — delta-debugging shrinker plus the
   capture → shrink → fingerprint → dedupe → persist pipeline;
-- :mod:`repro.conformance.artifacts` — versioned on-disk store of
-  disagreement artifacts with atomic writes, corrupt-entry eviction
-  and age-based GC (the query-store discipline).
+- :mod:`repro.conformance.artifacts` — disagreement artifacts, their
+  entry format in the shared :class:`~repro.diskstore.DiskStore`, and
+  dedupe-on-record.
 
 The ``fuzz`` job kind (:class:`repro.service.jobs.FuzzJob`) runs this
 pipeline through every execution surface — batch runner, serve daemon,
@@ -25,10 +25,11 @@ exists so the harness itself is testable end-to-end.
 """
 
 from repro.conformance.artifacts import (
+    ARTIFACT_CODEC,
     ARTIFACT_STORE_VERSION,
-    ArtifactStore,
     DisagreementArtifact,
     artifact_fingerprint,
+    record_artifact,
 )
 from repro.conformance.gen import (
     ConformancePair,
@@ -51,8 +52,8 @@ from repro.conformance.triage import (
 )
 
 __all__ = [
+    "ARTIFACT_CODEC",
     "ARTIFACT_STORE_VERSION",
-    "ArtifactStore",
     "CheckOutcome",
     "ConformancePair",
     "DifferentialOracle",
@@ -66,6 +67,7 @@ __all__ = [
     "artifact_fingerprint",
     "coverage_summary",
     "generate_pairs",
+    "record_artifact",
     "register_planted_backend",
     "shrink_disagreement",
 ]

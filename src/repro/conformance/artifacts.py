@@ -1,29 +1,28 @@
-"""Disagreement artifacts and their versioned on-disk store.
+"""Disagreement artifacts and their on-disk entry format.
 
 A :class:`DisagreementArtifact` is the JSON-shaped, self-contained
 record of one soundness find: the (shrunk) regex, flags and word, every
 decider's verdict, the contradicting member pair, the generator seed
 that reproduces it, and the canonical fingerprint it dedupes under.
 
-The :class:`ArtifactStore` follows the same defensive discipline as the
-solver query store (:class:`repro.solver.backends.cached.QueryDiskStore`):
-``<dir>/v<VERSION>/<fingerprint>.json`` entries written atomically
-(temp + ``os.replace``), read defensively (truncated/garbled/
-version-skewed blobs are evicted and counted, never raised), and capped
-with oldest-mtime GC to a low-water mark.  The one behavioural
-difference is deliberate: recording an already-known fingerprint bumps
-a ``hits`` counter inside the entry instead of writing a sibling — a
-fuzzing campaign that trips the same bug ten thousand times must leave
-one artifact with ``hits=10000``, not ten thousand files.
+Artifacts live in a :class:`~repro.diskstore.DiskStore` under
+``ARTIFACT_CODEC`` (``<dir>/v<VERSION>/<fingerprint>.json``), with the
+store's atomic writes, corrupt-entry eviction and age-based GC.  One
+behaviour is artifact-specific, :func:`record_artifact`: recording an
+already-known fingerprint bumps a ``hits`` counter inside the entry
+instead of writing a sibling — a fuzzing campaign that trips the same
+bug ten thousand times must leave one artifact with ``hits=10000``, not
+ten thousand files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
+
+from repro.diskstore import Codec, DiskStore
 
 #: Bump when the artifact layout changes; old entries are ignored.
 ARTIFACT_STORE_VERSION = 1
@@ -83,182 +82,43 @@ class DisagreementArtifact:
         return cls(**fields)
 
 
-class ArtifactStore:
-    """Fingerprint-keyed directory of disagreement artifacts.
+def _dump_artifact(fingerprint: str, artifact: DisagreementArtifact):
+    return json.dumps(
+        artifact.to_blob(), ensure_ascii=False, sort_keys=True
+    ).encode("utf-8")
 
-    Layout ``<path>/v<ARTIFACT_STORE_VERSION>/<fingerprint>.json``; the
-    fingerprint is repeated inside the blob and verified on load
-    against foreign or renamed files.  ``max_entries`` caps the store
-    with oldest-mtime GC exactly like the query store — a runaway
-    campaign can flood with *distinct* bugs too, and the artifact
-    directory must never be the thing that fills the disk.
+
+def _load_artifact(fingerprint: str, data: bytes):
+    artifact = DisagreementArtifact.from_blob(json.loads(data))
+    if artifact.fingerprint != fingerprint:
+        raise ValueError("mismatched artifact fingerprint")
+    return artifact
+
+
+#: Artifacts on disk: ``<dir>/v1/<fingerprint>.json``, the fingerprint
+#: repeated inside and verified on load.  Cap the store (``max_entries``)
+#: for a long campaign: a runaway one can flood with *distinct* bugs
+#: too, and the artifact directory must never be what fills the disk.
+ARTIFACT_CODEC = Codec(
+    "artifact",
+    ARTIFACT_STORE_VERSION,
+    "json",
+    _dump_artifact,
+    _load_artifact,
+)
+
+
+def record_artifact(store: DiskStore, artifact: DisagreementArtifact) -> str:
+    """Persist (or dedupe) one artifact; returns ``"new"``/``"dup"``.
+
+    A known fingerprint bumps the stored entry's hit counter in place —
+    the entry's mtime advances too, so hot disagreements also survive
+    GC the longest.
     """
-
-    def __init__(self, path: str, max_entries: Optional[int] = None):
-        self.root = path
-        self.path = os.path.join(path, f"v{ARTIFACT_STORE_VERSION}")
-        os.makedirs(self.path, exist_ok=True)
-        self.max_entries = max_entries
-        self.stores = 0
-        self.dup_hits = 0
-        self.failures = 0
-        self.evictions = 0
-        self.corrupt_evictions = 0
-        self._approx_count = 0 if max_entries is None else len(self)
-
-    def _entry(self, fingerprint: str) -> str:
-        # Fingerprints are sha256 hex already; foreign strings (tests,
-        # hand-built artifacts) are re-hashed into the same namespace.
-        name = fingerprint
-        if len(name) != 64 or not all(
-            c in "0123456789abcdef" for c in name
-        ):
-            name = hashlib.sha256(name.encode("utf-8")).hexdigest()
-        return os.path.join(self.path, f"{name}.json")
-
-    def _load(self, path: str, fingerprint: str):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                blob = json.load(handle)
-            artifact = DisagreementArtifact.from_blob(blob)
-            if artifact.fingerprint != fingerprint:
-                raise ValueError("mismatched artifact fingerprint")
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated write, foreign file, stale format: evict and
-            # treat as absent — the next record() rebuilds it.
-            self.failures += 1
-            self.corrupt_evictions += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        return artifact
-
-    def _write(self, path: str, artifact: DisagreementArtifact) -> bool:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(
-                    artifact.to_blob(), handle,
-                    ensure_ascii=False, sort_keys=True,
-                )
-            os.replace(tmp, path)  # atomic: readers never see partials
-        except OSError:
-            self.failures += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
-
-    def record(self, artifact: DisagreementArtifact) -> str:
-        """Persist (or dedupe) one artifact; returns ``"new"``/``"dup"``.
-
-        A known fingerprint bumps the stored entry's hit counter in
-        place — the entry's mtime advances too, so hot disagreements
-        also survive GC the longest.
-        """
-        path = self._entry(artifact.fingerprint)
-        existing = self._load(path, artifact.fingerprint)
-        if existing is not None:
-            existing.hits += 1
-            self._write(path, existing)
-            self.dup_hits += 1
-            return "dup"
-        if self._write(path, artifact):
-            self.stores += 1
-            self._approx_count += 1
-            if (
-                self.max_entries is not None
-                and self._approx_count > self.max_entries
-            ):
-                self.gc()
+    existing = store.get(artifact.fingerprint)
+    if existing is None:
+        store.put(artifact.fingerprint, artifact)
         return "new"
-
-    def get(self, fingerprint: str) -> Optional[DisagreementArtifact]:
-        return self._load(self._entry(fingerprint), fingerprint)
-
-    def load_all(self) -> List[DisagreementArtifact]:
-        """Every readable artifact, for triage tooling and reports."""
-        artifacts = []
-        try:
-            names = sorted(os.listdir(self.path))
-        except OSError:
-            return []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.path, name)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    artifact = DisagreementArtifact.from_blob(
-                        json.load(handle)
-                    )
-            except Exception:
-                self.failures += 1
-                self.corrupt_evictions += 1
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                continue
-            artifacts.append(artifact)
-        return artifacts
-
-    def gc(self) -> int:
-        """Evict oldest-mtime artifacts past ``max_entries``.
-
-        Same hysteresis as the query store: down to a low-water mark an
-        eighth of slack below the cap, so a flood pays the directory
-        scan once per slack's worth of finds.
-        """
-        if self.max_entries is None:
-            return 0
-        try:
-            aged = sorted(
-                (entry.stat().st_mtime, entry.path)
-                for entry in os.scandir(self.path)
-                if entry.name.endswith(".json")
-            )
-        except OSError:
-            return 0
-        self._approx_count = len(aged)
-        if len(aged) <= self.max_entries:
-            return 0
-        low_water = max(
-            1, self.max_entries - max(1, self.max_entries // 8)
-        )
-        evicted = 0
-        for _, path in aged[: len(aged) - low_water]:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            evicted += 1
-        self.evictions += evicted
-        self._approx_count -= evicted
-        return evicted
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "entries": len(self),
-            "stores": self.stores,
-            "dup_hits": self.dup_hits,
-            "failures": self.failures,
-            "evictions": self.evictions,
-            "corrupt_evictions": self.corrupt_evictions,
-        }
-
-    def __len__(self) -> int:
-        try:
-            return sum(
-                1
-                for name in os.listdir(self.path)
-                if name.endswith(".json")
-            )
-        except OSError:
-            return 0
+    existing.hits += 1
+    store.put(existing.fingerprint, existing)
+    return "dup"

@@ -34,10 +34,11 @@ from repro.regex.parser import parse_pattern
 from repro.regex.unparse import unparse
 
 from repro.conformance.artifacts import (
-    ArtifactStore,
     DisagreementArtifact,
     artifact_fingerprint,
+    record_artifact,
 )
+from repro.diskstore import DiskStore
 from repro.conformance.oracle import Disagreement, DifferentialOracle
 
 #: Hard cap on accepted reductions — the oracle solves one query per
@@ -196,15 +197,16 @@ class TriagePipeline:
     """capture → shrink → fingerprint → dedupe → persist.
 
     Wired to a :class:`DifferentialOracle` (the shrink predicate) and an
-    optional :class:`ArtifactStore`; without a store the artifact is
-    still built and returned (status ``"unstored"``) so collect-mode
-    jobs always have something to report.
+    optional :class:`~repro.diskstore.DiskStore` of artifacts; without a
+    store the artifact is still built and returned (status
+    ``"unstored"``) so collect-mode jobs always have something to
+    report.
     """
 
     def __init__(
         self,
         oracle: DifferentialOracle,
-        store: Optional[ArtifactStore] = None,
+        store: Optional[DiskStore] = None,
         *,
         shrink: bool = True,
     ):
@@ -248,7 +250,7 @@ class TriagePipeline:
             shrink_steps=steps,
         )
         status = (
-            self.store.record(artifact)
+            record_artifact(self.store, artifact)
             if self.store is not None
             else "unstored"
         )

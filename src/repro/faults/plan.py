@@ -37,6 +37,7 @@ Named sites threaded through the codebase:
 ``query_store:get`` persistent query-store read (``corrupt`` garbles the
                     entry file first)
 ``dfa_store:get``   persistent automata-store read (same)
+``artifact_store:get``  persistent artifact-store read (same)
 ``serve:frame``     daemon → client frame enqueue (``drop`` / ``delay``)
 ``cluster:heartbeat``  one worker-node heartbeat tick (``drop`` skips the
                     send, so the coordinator's missed-heartbeat detector

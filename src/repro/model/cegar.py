@@ -85,8 +85,8 @@ class CegarSolver:
     refinement_limit: int = 20
     stats: Optional[SolverStats] = None
     #: Optional hook: a zero-argument callable returning the solver to
-    #: use (e.g. a ``repro.service.cache.CachedSolver`` sharing a query
-    #: cache across many CEGAR instances).  Overrides ``solver``.
+    #: use (e.g. a ``repro.solver.backends.cached.CachedSolver`` sharing
+    #: a query cache across many CEGAR instances).  Overrides ``solver``.
     solver_factory: Optional[Callable[[], Solver]] = None
     #: Solver backend spec (see :func:`repro.solver.backends.make_backend`),
     #: e.g. ``"portfolio:native+smtlib"``.  Overrides ``solver`` but not

@@ -136,20 +136,17 @@ def checkpoint() -> None:
 
 def store_counters() -> dict:
     """Aggregate disk-store health for this process: load/store/failure
-    and corruption-eviction totals across every live query and automata
-    store handle.  ``corrupt_evictions`` climbing is the operator's
-    early-warning for a bad disk (or an active chaos plan) — entries
-    being garbled and silently re-solved instead of served.
+    and corruption-eviction totals per kind (``query``, ``dfa``, and
+    ``artifact`` once one is open) across every live store handle.
+    ``corrupt_evictions`` climbing is the operator's early-warning for
+    a bad disk (or an active chaos plan) — entries being garbled and
+    silently re-solved instead of served.
     """
-    # Lazy imports: ``cached.py`` imports ``repro.obs`` at module
+    # Lazy import: ``repro.diskstore`` imports ``repro.obs`` at module
     # level, so the reverse edge must stay inside the function body.
-    from repro.automata.cache import dfa_store_counters
-    from repro.solver.backends.cached import query_store_counters
+    from repro.diskstore import store_counters as _store_counters
 
-    return {
-        "query": query_store_counters(),
-        "dfa": dfa_store_counters(),
-    }
+    return _store_counters()
 
 
 def snapshot() -> dict:

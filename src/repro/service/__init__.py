@@ -6,11 +6,10 @@ The orchestration layer the paper's evaluation implies (1,131 packages,
 canonical formula fingerprints, and corpus-level report aggregation.
 """
 
-from repro.service.cache import (
+from repro.solver.backends.cached import (
     CachedResult,
     CachedSolver,
     QueryCache,
-    QueryDiskStore,
     SharedQueryCache,
 )
 from repro.service.jobs import (
@@ -53,7 +52,6 @@ __all__ = [
     "FuzzJob",
     "JobResult",
     "QueryCache",
-    "QueryDiskStore",
     "RunnerConfig",
     "SharedQueryCache",
     "SolveJob",

@@ -646,7 +646,7 @@ class FuzzJob(_JobBase):
         )
         from repro.automata.cache import counters_delta
         from repro.conformance import (
-            ArtifactStore,
+            ARTIFACT_CODEC,
             DifferentialOracle,
             TriagePipeline,
             artifact_fingerprint,
@@ -654,6 +654,7 @@ class FuzzJob(_JobBase):
             generate_pairs,
             register_planted_backend,
         )
+        from repro.diskstore import DiskStore
         from repro.solver.backends.base import BackendDisagreement
 
         if self.on_disagreement not in ("raise", "collect"):
@@ -686,7 +687,9 @@ class FuzzJob(_JobBase):
             members, timeout=self.solver_timeout, stats=stats
         )
         store = (
-            ArtifactStore(self.artifact_dir, max_entries=self.artifact_max)
+            DiskStore(
+                self.artifact_dir, ARTIFACT_CODEC, self.artifact_max
+            )
             if self.artifact_dir
             else None
         )
@@ -743,7 +746,11 @@ class FuzzJob(_JobBase):
         }
         if store is not None:
             payload["artifact_dir"] = self.artifact_dir
-            payload["artifact_store"] = store.counters()
+            payload["artifact_store"] = {
+                "entries": len(store),
+                **store.counters(),
+                "dup_hits": artifacts["dup"],
+            }
         stats.record_automata(
             counters_delta(automata0, automata_cache_counters())
         )

@@ -5,12 +5,13 @@ the paper's evaluation fanned 1,131 packages across machines.  Design
 points:
 
 - **Process workers, persistent caches.**  Each worker process builds
-  one :class:`~repro.service.cache.QueryCache` in its initializer and
-  keeps it alive across every job it executes, so duplicated queries
-  from different jobs hit.  With ``shared_cache=True`` a single
-  manager-backed :class:`~repro.service.cache.SharedQueryCache` is
-  shared by *all* workers instead.  With ``automata_cache=PATH`` every
-  worker also attaches the persistent on-disk automata compilation
+  one :class:`~repro.solver.backends.cached.QueryCache` in its
+  initializer and keeps it alive across every job it executes, so
+  duplicated queries from different jobs hit.  With
+  ``shared_cache=True`` a single manager-backed
+  :class:`~repro.solver.backends.cached.SharedQueryCache` is shared by
+  *all* workers instead.  With ``automata_cache=PATH`` every worker
+  also attaches the persistent on-disk automata compilation
   store, so corpus regexes are compiled once per *path*, not once per
   process per invocation.
 - **Scheduler-level dedup.**  With ``dedup=True`` jobs are coalesced
@@ -71,9 +72,9 @@ from repro import faults, obs
 from repro.faults.retry import RetryPolicy, crash_result
 from repro.obs import metrics as _metrics
 from repro.obs.export import ObsRun
-from repro.service.cache import QueryCache, SharedQueryCache
 from repro.service.jobs import JobResult, _JobBase, job_from_spec
 from repro.solver.backends import CachedBackend, make_backend
+from repro.solver.backends.cached import QueryCache, SharedQueryCache
 
 #: Per-worker-process state, installed by the pool initializer and
 #: reused by every job the worker executes.

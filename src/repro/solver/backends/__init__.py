@@ -38,11 +38,7 @@ from repro.solver.backends.base import (
     BackendError,
     SolverBackend,
 )
-from repro.solver.backends.cached import (
-    CachedBackend,
-    QueryCache,
-    QueryDiskStore,
-)
+from repro.solver.backends.cached import CachedBackend, QueryCache
 from repro.solver.backends.native import NativeBackend
 from repro.solver.backends.pool import (
     PooledSessionBackend,
@@ -69,7 +65,6 @@ __all__ = [
     "PooledSessionBackend",
     "PortfolioBackend",
     "QueryCache",
-    "QueryDiskStore",
     "RouterBackend",
     "SessionBackend",
     "SessionPool",

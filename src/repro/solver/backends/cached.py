@@ -24,27 +24,25 @@ Soundness rules:
   backend configuration) could turn a solvable query into a permanent
   unknown.
 
-(Historically this lived in ``repro.service.cache``, which now
-re-exports from here; the *decorator* :class:`CachedBackend` is what
-the ``cached:<inner>`` spec resolves to.)
+The decorator :class:`CachedBackend` is what the ``cached:<inner>``
+spec resolves to; ``QUERY_CODEC`` is the query kind's entry format in a
+:class:`~repro.diskstore.DiskStore`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from repro import faults, obs
+from repro import obs
 from repro.constraints.formulas import Formula
 from repro.constraints.printer import canonical_fingerprint
 from repro.constraints.terms import StrVar, Value
+from repro.diskstore import Codec, DiskStore, attach, disk_counters
 from repro.solver.core import Solver, SolverResult, UNKNOWN
 from repro.solver.model import Model
 from repro.solver.stats import SolverStats
@@ -52,38 +50,6 @@ from repro.solver.stats import SolverStats
 #: Bump when the on-disk entry layout changes; old entries are ignored.
 QUERY_STORE_VERSION = 1
 _MAGIC = "repro-query"
-
-#: Every live store handle in this process, for the aggregate
-#: corruption/failure counters surfaced by ``obs.snapshot()`` and the
-#: daemon's ``health`` op (weak: a dropped cache must not be pinned by
-#: its diagnostics).
-_OPEN_STORES: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def query_store_counters() -> Dict[str, int]:
-    """Aggregate counters over every live query store in this process.
-
-    ``corrupt_evictions`` is the operator's signal that entries are
-    being scribbled on (bad disk, version skew, a chaos plan): each one
-    was a cache entry evicted by the defensive read path instead of
-    served.
-    """
-    totals = {
-        "open_stores": 0,
-        "loads": 0,
-        "stores": 0,
-        "failures": 0,
-        "evictions": 0,
-        "corrupt_evictions": 0,
-    }
-    for store in list(_OPEN_STORES):
-        totals["open_stores"] += 1
-        totals["loads"] += store.loads
-        totals["stores"] += store.stores
-        totals["failures"] += store.failures
-        totals["evictions"] += store.evictions
-        totals["corrupt_evictions"] += store.corrupt_evictions
-    return totals
 
 
 @dataclass(frozen=True)
@@ -95,223 +61,38 @@ class CachedResult:
     assignment: Optional[Tuple[Tuple[str, Value], ...]] = None
 
 
-class QueryDiskStore:
-    """Fingerprint-keyed directory of definitive solver answers.
-
-    The query-cache sibling of
-    :class:`repro.automata.cache.DfaDiskStore`: layout is
-    ``<path>/v<QUERY_STORE_VERSION>/<sha256(fingerprint)>.qry`` (the
-    canonical fingerprint is arbitrary-length text, so entries are named
-    by its hash and carry the full fingerprint inside the blob, verified
-    on load against hash collisions and foreign files).  Entries are
-    written atomically (temp file + ``os.replace``) and read
-    defensively: truncated, corrupted, or version-mismatched entries are
-    evicted as misses, never errors — the store is a cache, a bad
-    directory degrades to solving.
-
-    ``max_entries`` caps the store with *age-based* GC: whenever the
-    (approximately tracked) entry count passes the cap, the oldest
-    mtimes are unlinked down to a low-water mark just under the cap
-    (hysteresis: the next scan is a slack's worth of puts away, not
-    one).  Age, not LRU — the store is shared by concurrent workers,
-    and touching entry mtimes on every hit would turn reads into
-    writes; old answers being re-proved once is the cheap failure
-    mode.  Evictions land in the store's counters (``evictions``,
-    surfaced as ``disk_evictions``).
-    """
-
-    def __init__(self, path: str, max_entries: Optional[int] = None):
-        self.root = path
-        self.path = os.path.join(path, f"v{QUERY_STORE_VERSION}")
-        os.makedirs(self.path, exist_ok=True)
-        self.max_entries = max_entries
-        self.loads = 0
-        self.stores = 0
-        self.failures = 0
-        self.evictions = 0
-        #: Entries evicted by the defensive read path specifically —
-        #: truncated/garbled/version-skewed blobs, as opposed to GC.
-        self.corrupt_evictions = 0
-        _OPEN_STORES.add(self)
-        #: Entry-count estimate driving GC triggers: seeded by a scan
-        #: (only when a cap makes the count matter — uncapped stores
-        #: must not pay an O(entries) scan per construction), bumped
-        #: per put.  Concurrent writers make it approximate; the GC
-        #: pass itself recounts exactly.
-        self._approx_count = 0 if max_entries is None else len(self)
-
-    def _entry(self, fingerprint: str) -> str:
-        digest = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
-        return os.path.join(self.path, f"{digest}.qry")
-
-    def get(self, fingerprint: str) -> Optional[CachedResult]:
-        entry = self._entry(fingerprint)
-        # Chaos hook: an installed fault plan may scribble over the
-        # entry here, exercising the defensive read path below.
-        faults.corrupt_file("query_store:get", entry, fingerprint=fingerprint)
-        try:
-            with open(entry, "rb") as handle:
-                blob = pickle.load(handle)
-            magic, version, stored_fp, status, assignment = blob
-            if (
-                magic != _MAGIC
-                or version != QUERY_STORE_VERSION
-                or stored_fp != fingerprint
-            ):
-                raise ValueError("mismatched query-store entry")
-            result = CachedResult(
-                str(status),
-                None
-                if assignment is None
-                else tuple((str(n), v) for n, v in assignment),
-            )
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated write, foreign file, stale format, hash
-            # collision: drop and re-solve.
-            self.failures += 1
-            self.corrupt_evictions += 1
-            try:
-                os.unlink(entry)
-            except OSError:
-                pass
-            return None
-        self.loads += 1
-        return result
-
-    def put(self, fingerprint: str, entry: CachedResult) -> None:
-        path = self._entry(fingerprint)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump(
-                    (
-                        _MAGIC,
-                        QUERY_STORE_VERSION,
-                        fingerprint,
-                        entry.status,
-                        entry.assignment,
-                    ),
-                    handle,
-                    protocol=4,
-                )
-            os.replace(tmp, path)  # atomic: readers never see partials
-            self.stores += 1
-            self._approx_count += 1
-            if (
-                self.max_entries is not None
-                and self._approx_count > self.max_entries
-            ):
-                self.gc()
-        except OSError:
-            self.failures += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def gc(self) -> int:
-        """Evict oldest-mtime entries past ``max_entries``; return count.
-
-        Evicts down to a low-water mark *below* the cap (an eighth of
-        slack), so a put-heavy store pays the directory scan once per
-        slack's worth of writes instead of on every put at the cap.
-        Defensive like every other store path: a concurrently deleted
-        entry or an unreadable directory just ends the pass — the store
-        degrades to being larger than asked, never to failure.
-        """
-        if self.max_entries is None:
-            return 0
-        try:
-            aged = sorted(
-                (
-                    (entry.stat().st_mtime, entry.path)
-                    for entry in os.scandir(self.path)
-                    if entry.name.endswith(".qry")
-                ),
-            )
-        except OSError:
-            return 0
-        self._approx_count = len(aged)
-        if len(aged) <= self.max_entries:
-            return 0
-        # Keep at least one entry: a cap of 1 must still serve hits.
-        low_water = max(
-            1, self.max_entries - max(1, self.max_entries // 8)
-        )
-        evicted = 0
-        for _, path in aged[: len(aged) - low_water]:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            evicted += 1
-        self.evictions += evicted
-        self._approx_count -= evicted
-        return evicted
-
-    def __len__(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.path) if name.endswith(".qry")
-            )
-        except OSError:
-            return 0
+def _dump_query(fingerprint: str, entry: CachedResult) -> bytes:
+    # The full fingerprint rides inside the blob (entries are named by
+    # its hash): verified on load against collisions and foreign files.
+    header = (_MAGIC, QUERY_STORE_VERSION, fingerprint)
+    return pickle.dumps(header + (entry.status, entry.assignment), protocol=4)
 
 
-def _attached_store(
-    current: Optional[QueryDiskStore],
-    path: Optional[str],
-    max_entries: Optional[int] = None,
-) -> Optional[QueryDiskStore]:
-    """The store handle for ``attach_store(path)`` on either cache tier.
-
-    Re-attaching the same path keeps the existing handle (its counters
-    survive across jobs in one process; an explicit ``max_entries``
-    still takes effect on it); an unusable path degrades to memory-only
-    caching, never to failure.  A non-string ``path`` is taken to *be*
-    a store-shaped object (duck: ``get``/``put``/counters) and used
-    directly — how cluster worker nodes wire a
-    :class:`~repro.cluster.remotestore.RemoteQueryStore` read-through
-    to the coordinator in place of a local directory.
-    """
-    if path is None:
-        return None
-    if not isinstance(path, str):
-        return path
-    if current is not None and current.root == path:
-        if max_entries is not None and current.max_entries != max_entries:
-            # A newly applied (or changed) cap needs a real count: the
-            # handle may have skipped the seeding scan while uncapped.
-            current.max_entries = max_entries
-            current._approx_count = len(current)
-        return current
-    try:
-        return QueryDiskStore(path, max_entries=max_entries)
-    except OSError:
-        return None
+def _load_query(fingerprint: str, data: bytes) -> CachedResult:
+    magic, version, stored_fp, status, assignment = pickle.loads(data)
+    if (
+        magic != _MAGIC
+        or version != QUERY_STORE_VERSION
+        or stored_fp != fingerprint
+    ):
+        raise ValueError("mismatched query-store entry")
+    return CachedResult(
+        str(status),
+        None
+        if assignment is None
+        else tuple((str(n), v) for n, v in assignment),
+    )
 
 
-def _disk_counters(
-    store: Optional[QueryDiskStore], disk_hits: int
-) -> Dict[str, int]:
-    """The shared disk-tier block of both caches' ``counters()``."""
-    return {
-        "disk_hits": disk_hits,
-        "disk_loads": store.loads if store else 0,
-        "disk_stores": store.stores if store else 0,
-        "disk_failures": store.failures if store else 0,
-        "disk_evictions": store.evictions if store else 0,
-        "disk_corrupt_evictions": (
-            store.corrupt_evictions if store else 0
-        ),
-    }
+#: Definitive answers on disk: ``<path>/v1/<sha256(fingerprint)>.qry``.
+QUERY_CODEC = Codec(
+    "query", QUERY_STORE_VERSION, "qry", _dump_query, _load_query
+)
 
 
 class QueryCache:
     """An LRU map fingerprint → :class:`CachedResult` with counters,
-    optionally backed by a persistent :class:`QueryDiskStore`.
+    optionally backed by a persistent query :class:`DiskStore`.
 
     Process-local.  In the batch runner each worker process keeps one
     instance alive across all jobs it executes (see ``runner.py``), which
@@ -335,7 +116,7 @@ class QueryCache:
         # (``RunnerConfig.inline_concurrency``), and an OrderedDict
         # mid-``move_to_end`` is not safe to race.
         self._mutex = threading.Lock()
-        self.store: Optional[QueryDiskStore] = None
+        self.store: Optional[DiskStore] = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -349,8 +130,8 @@ class QueryCache:
         """Attach (or with ``None`` detach) the on-disk store.
 
         ``max_entries`` caps the store with age-based GC (see
-        :class:`QueryDiskStore`)."""
-        self.store = _attached_store(self.store, path, max_entries)
+        :class:`~repro.diskstore.DiskStore`)."""
+        self.store = attach(self.store, path, QUERY_CODEC, max_entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -407,7 +188,8 @@ class QueryCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
-            **_disk_counters(self.store, self.disk_hits),
+            "disk_hits": self.disk_hits,
+            **disk_counters(self.store),
         }
 
 
@@ -434,7 +216,7 @@ class SharedQueryCache:
         self._store = store
         self._lock = lock
         self.maxsize = maxsize
-        self.store: Optional[QueryDiskStore] = None
+        self.store: Optional[DiskStore] = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -448,7 +230,7 @@ class SharedQueryCache:
         self, path: Optional[str], max_entries: Optional[int] = None
     ) -> None:
         """Attach (or with ``None`` detach) a per-process disk store."""
-        self.store = _attached_store(self.store, path, max_entries)
+        self.store = attach(self.store, path, QUERY_CODEC, max_entries)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -498,7 +280,8 @@ class SharedQueryCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
-            **_disk_counters(self.store, self.disk_hits),
+            "disk_hits": self.disk_hits,
+            **disk_counters(self.store),
         }
 
 

@@ -192,7 +192,7 @@ class SolverStats:
 
     queries: List[QueryRecord] = field(default_factory=list)
     #: Solver query cache counters (populated when solving through a
-    #: :class:`repro.service.cache.CachedSolver`).
+    #: :class:`repro.solver.backends.cached.CachedSolver`).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Per-backend outcome/latency tallies, keyed by backend name

@@ -1,12 +1,10 @@
 """The interned automata compilation cache and its on-disk store."""
 
 import os
-import pickle
 
 import pytest
 
 from repro.automata import (
-    DfaDiskStore,
     automata_cache_counters,
     clear_caches,
     configure_automata_cache,
@@ -16,11 +14,13 @@ from repro.automata import (
 )
 from repro.automata.build import NotRegularError
 from repro.automata.cache import (
+    DFA_CODEC,
     STORE_VERSION,
     counters_delta,
     dfa_from_blob,
     dfa_to_blob,
 )
+from repro.diskstore import DiskStore
 from repro.regex import parse_regex
 
 
@@ -123,16 +123,8 @@ class TestDiskStore:
         dfa_for_pattern("corrupt|me")
         assert automata_cache_counters()["disk_hits"] == 1
 
-    def test_foreign_pickle_shape_is_a_miss(self, clean_automata, tmp_path):
-        store = DfaDiskStore(str(tmp_path))
-        entry = os.path.join(store.path, "deadbeef.dfa")
-        with open(entry, "wb") as handle:
-            pickle.dump(("something", "else"), handle)
-        assert store.get("deadbeef") is None
-        assert store.failures == 1
-
     def test_store_is_versioned_by_directory(self, clean_automata, tmp_path):
-        store = DfaDiskStore(str(tmp_path))
+        store = DiskStore(str(tmp_path), DFA_CODEC)
         assert store.path == os.path.join(
             str(tmp_path), f"v{STORE_VERSION}"
         )
@@ -156,7 +148,7 @@ class TestDiskStore:
     def test_unwritable_entry_degrades_silently(
         self, clean_automata, tmp_path
     ):
-        store = DfaDiskStore(str(tmp_path))
+        store = DiskStore(str(tmp_path), DFA_CODEC)
         # A directory squatting on the entry path makes the atomic
         # replace fail (works even when running as root, where a
         # permissions-based setup would be bypassed).

@@ -22,7 +22,6 @@ The invariants under test are the ISSUE's acceptance bars:
 
 import json
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -33,6 +32,7 @@ import pytest
 from repro import faults
 from repro.serve.client import ServeClient
 from repro.service import jobs
+from repro.solver.backends.cached import CachedResult, QUERY_CODEC
 
 from serve_testing import (
     GateJob,
@@ -289,12 +289,15 @@ class TestRemoteCache:
         assert store is not None and not isinstance(store, str)
         assert store.root.startswith("remote://")
         # put → coordinator's disk store; get → same entry back.
-        blob = pickle.dumps(("sat", (("?0", "a"),)), protocol=4)
-        node.cache_put("query", "fp-remote", blob)
+        # The wire blob is the query codec's entry bytes.
+        entry = CachedResult("sat", (("?0", "a"),))
+        node.cache_put(
+            "query", "fp-remote", QUERY_CODEC.dumps("fp-remote", entry)
+        )
         wait_until(lambda: cluster_stats(server)["cache_puts"] == 1)
         fetched = node.cache_get("query", "fp-remote")
         assert fetched is not None
-        assert pickle.loads(fetched)[0] == "sat"
+        assert QUERY_CODEC.loads("fp-remote", fetched) == entry
         stats = cluster_stats(server)
         assert stats["cache_gets"] == 1
         assert stats["cache_hits"] == 1

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.conformance import (
-    ArtifactStore,
+    ARTIFACT_CODEC,
     DifferentialOracle,
     DisagreementArtifact,
     NotADisagreement,
@@ -22,9 +22,11 @@ from repro.conformance import (
     artifact_fingerprint,
     coverage_summary,
     generate_pairs,
+    record_artifact,
     register_planted_backend,
     shrink_disagreement,
 )
+from repro.diskstore import DiskStore
 from repro.conformance.oracle import MATCH, NOMATCH, UNDECIDED
 from repro.regex.matcher import RegExp
 from repro.solver.backends.base import (
@@ -367,18 +369,17 @@ class TestArtifactStore:
         )
 
     def test_record_dedupes_by_fingerprint(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "art"))
-        assert store.record(_artifact()) == "new"
-        assert store.record(_artifact()) == "dup"
-        assert store.record(_artifact()) == "dup"
+        store = DiskStore(str(tmp_path / "art"), ARTIFACT_CODEC)
+        assert record_artifact(store, _artifact()) == "new"
+        assert record_artifact(store, _artifact()) == "dup"
+        assert record_artifact(store, _artifact()) == "dup"
         assert len(store) == 1
         loaded = store.get(artifact_fingerprint("", "", "q"))
         assert loaded.hits == 3
-        assert store.counters()["dup_hits"] == 2
 
     def test_corrupt_entries_are_evicted(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "art"))
-        store.record(_artifact())
+        store = DiskStore(str(tmp_path / "art"), ARTIFACT_CODEC)
+        record_artifact(store, _artifact())
         entry = os.path.join(
             store.path, artifact_fingerprint("", "", "q") + ".json"
         )
@@ -388,21 +389,14 @@ class TestArtifactStore:
         assert not os.path.exists(entry)
         assert store.counters()["corrupt_evictions"] == 1
         # The next record rebuilds the entry from scratch.
-        assert store.record(_artifact()) == "new"
-
-    def test_gc_caps_the_store(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "art"), max_entries=4)
-        for i in range(8):
-            store.record(_artifact(word=f"w{i}"))
-        assert len(store) <= 4
-        assert store.counters()["evictions"] > 0
+        assert record_artifact(store, _artifact()) == "new"
 
     def test_flood_of_one_bug_leaves_one_file(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "art"), max_entries=4)
-        for _ in range(50):
-            store.record(_artifact())
+        store = DiskStore(str(tmp_path / "art"), ARTIFACT_CODEC, 4)
+        statuses = [record_artifact(store, _artifact()) for _ in range(50)]
         assert len(store) == 1
-        assert store.counters()["dup_hits"] == 49
+        assert statuses.count("dup") == 49
+        assert store.get(artifact_fingerprint("", "", "q")).hits == 50
 
 
 # -- triage pipeline ----------------------------------------------------------
@@ -413,7 +407,7 @@ class TestTriagePipeline:
         oracle = DifferentialOracle(
             ["native", "planted:"], timeout=TIMEOUT
         )
-        store = ArtifactStore(str(tmp_path / "art"))
+        store = DiskStore(str(tmp_path / "art"), ARTIFACT_CODEC)
         triage = TriagePipeline(oracle, store)
         first = oracle.check("(a|q)+", "", "aq").disagreement
         second = oracle.check("qb?", "", "q").disagreement
@@ -538,8 +532,10 @@ class TestFuzzJob:
             "native|planted": p["disagreements"]
         }
         assert p["artifact_store"]["entries"] == 1
-        store = ArtifactStore(str(tmp_path / "art"))
-        (artifact,) = store.load_all()
+        assert p["artifact_store"]["dup_hits"] == p["artifacts_dup"]
+        store = DiskStore(str(tmp_path / "art"), ARTIFACT_CODEC)
+        (fingerprint,) = p["unique_fingerprints"]
+        artifact = store.get(fingerprint)
         assert (artifact.pattern, artifact.flags, artifact.word) == (
             "",
             "",

@@ -23,9 +23,11 @@ import time
 import pytest
 
 from repro import faults
-from repro.automata import DfaDiskStore, dfa_for_pattern
+from repro.automata import dfa_for_pattern
+from repro.automata.cache import DFA_CODEC
 from repro.automata.build import erase_captures
 from repro.constraints import InRe, StrVar
+from repro.diskstore import DiskStore
 from repro.faults import get_breaker, reset_breakers
 from repro.regex import parse_regex
 from repro.serve.client import ServeClient
@@ -34,7 +36,7 @@ from repro.service.jobs import SolveJob
 from repro.service.runner import BatchRunner, RunnerConfig
 from repro.solver import SolverStats, UNKNOWN, UNSAT
 from repro.solver.backends import PooledSessionBackend, SessionPool
-from repro.solver.backends.cached import CachedResult, QueryDiskStore
+from repro.solver.backends.cached import CachedResult, QUERY_CODEC
 
 from serve_testing import _STARTED, start_daemon, stop_started, wait_until
 
@@ -239,7 +241,7 @@ class TestCorruptStoreEviction:
     def test_corrupt_query_store_entry_evicted_and_rewritable(
         self, tmp_path
     ):
-        store = QueryDiskStore(str(tmp_path / "qstore"))
+        store = DiskStore(str(tmp_path / "qstore"), QUERY_CODEC)
         store.put("fp-chaos", CachedResult("unsat", None))
         assert store.get("fp-chaos").status == "unsat"
         faults.install(
@@ -264,7 +266,7 @@ class TestCorruptStoreEviction:
     def test_corrupt_dfa_store_entry_evicted_and_recompiled(
         self, tmp_path, clean_automata
     ):
-        store = DfaDiskStore(str(tmp_path / "dstore"))
+        store = DiskStore(str(tmp_path / "dstore"), DFA_CODEC)
         store.put("chaosdfa", dfa_for_pattern("ab*c"))
         assert store.get("chaosdfa") is not None
         faults.install(

@@ -1,13 +1,12 @@
 """Tests for the persistent solver query store and LRU cache tiers.
 
-The store mirrors the automata disk store's contract: atomic writes,
-corrupt/mismatched entries evicted as misses (never errors), counters
-for every tier.  The shared (manager-protocol) cache must evict LRU —
-touch-on-hit — not merely oldest-inserted.
+The store's defensive reads (corrupt, version-skewed and foreign-key
+entries evicted as misses) are checked for every kind in
+``test_diskstore.py``; these tests cover the query kind's round trip
+and the cache tiers over it.  The shared (manager-protocol) cache must
+evict LRU — touch-on-hit — not merely oldest-inserted.
 """
 
-import os
-import pickle
 import threading
 
 import pytest
@@ -16,9 +15,11 @@ from repro.automata.build import erase_captures
 from repro.constraints import Eq, InRe, StrConst, StrVar, conj
 from repro.regex import parse_regex
 from repro.solver import SAT, Model, SolverResult, UNKNOWN, UNSAT
-from repro.solver.backends import CachedBackend, QueryCache, QueryDiskStore
+from repro.diskstore import DiskStore
+from repro.solver.backends import CachedBackend, QueryCache
 from repro.solver.backends.cached import (
     CachedResult,
+    QUERY_CODEC,
     QUERY_STORE_VERSION,
     SharedQueryCache,
 )
@@ -46,7 +47,7 @@ class _Stub:
 
 class TestQueryDiskStore:
     def test_round_trip(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC)
         entry = CachedResult(SAT, (("?0", "ab"), ("?1", None)))
         store.put("fp-1", entry)
         assert store.get("fp-1") == entry
@@ -55,46 +56,17 @@ class TestQueryDiskStore:
         assert len(store) == 1
 
     def test_unsat_entry_round_trips(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC)
         store.put("fp-2", CachedResult(UNSAT, None))
         assert store.get("fp-2") == CachedResult(UNSAT, None)
 
     def test_missing_entry_is_a_silent_miss(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC)
         assert store.get("nope") is None
         assert store.failures == 0
 
-    def test_corrupt_entry_is_evicted_as_a_miss(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
-        store.put("fp", CachedResult(UNSAT))
-        path = store._entry("fp")
-        with open(path, "wb") as handle:
-            handle.write(b"\x80garbage")
-        assert store.get("fp") is None
-        assert store.failures == 1
-        assert not os.path.exists(path)  # evicted, not left to re-fail
-
-    def test_version_or_magic_mismatch_is_a_miss(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
-        with open(store._entry("fp"), "wb") as handle:
-            pickle.dump(
-                ("wrong-magic", QUERY_STORE_VERSION, "fp", "unsat", None),
-                handle,
-            )
-        assert store.get("fp") is None
-        assert store.failures == 1
-
-    def test_fingerprint_mismatch_is_a_miss(self, tmp_path):
-        # A hash collision (or a renamed file) must not replay a wrong
-        # answer: the blob carries the fingerprint, verified on load.
-        store = QueryDiskStore(str(tmp_path / "q"))
-        store.put("other-fp", CachedResult(UNSAT))
-        os.replace(store._entry("other-fp"), store._entry("fp"))
-        assert store.get("fp") is None
-        assert store.failures == 1
-
     def test_versioned_layout(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC)
         assert store.path.endswith(f"v{QUERY_STORE_VERSION}")
 
 
@@ -275,8 +247,9 @@ class TestRunnerQueryCacheWiring:
                 SolveJob(job_id="b", pattern="c?d{2}"),  # no persistence
             ]
         )
-        assert len(QueryDiskStore(alone)) > 0
-        assert len(QueryDiskStore(mixed)) == len(QueryDiskStore(alone))
+        alone_entries = len(DiskStore(alone, QUERY_CODEC))
+        assert alone_entries > 0
+        assert len(DiskStore(mixed, QUERY_CODEC)) == alone_entries
 
     def test_job_level_query_cache_spec_round_trips(self, tmp_path):
         import json
@@ -294,4 +267,4 @@ class TestRunnerQueryCacheWiring:
         assert rebuilt == job
         result = rebuilt.run()
         assert result.status == "ok"
-        assert len(QueryDiskStore(str(tmp_path / "q"))) > 0
+        assert len(DiskStore(str(tmp_path / "q"), QUERY_CODEC)) > 0

@@ -26,12 +26,9 @@ from repro.solver import (
     UNKNOWN,
     UNSAT,
 )
-from repro.solver.backends import (
-    CachedBackend,
-    QueryCache,
-    QueryDiskStore,
-    RouterBackend,
-)
+from repro.diskstore import DiskStore
+from repro.solver.backends import CachedBackend, QueryCache, RouterBackend
+from repro.solver.backends.cached import QUERY_CODEC
 
 
 X = StrVar("x")
@@ -408,7 +405,7 @@ class TestQueryStoreGC:
             os.utime(entry, (base_time + i, base_time + i))
 
     def test_oldest_entries_evicted_past_cap(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"), max_entries=4)
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC, max_entries=4)
         base = time.time() - 1000
         self._fill(store, 10, base)
         assert len(store) <= 4
@@ -420,7 +417,7 @@ class TestQueryStoreGC:
     def test_gc_hysteresis_amortizes_scans(self, tmp_path):
         from repro.solver.backends.cached import CachedResult
 
-        store = QueryDiskStore(str(tmp_path / "q"), max_entries=16)
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC, max_entries=16)
         base = time.time() - 1000
         self._fill(store, 17, base)  # crosses the cap once
         after_first_gc = store.evictions
@@ -433,14 +430,14 @@ class TestQueryStoreGC:
     def test_cap_of_one_still_serves_hits(self, tmp_path):
         from repro.solver.backends.cached import CachedResult
 
-        store = QueryDiskStore(str(tmp_path / "q"), max_entries=1)
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC, max_entries=1)
         base = time.time() - 1000
         self._fill(store, 3, base)
         assert len(store) == 1
         assert store.get("fp-2") is not None  # the newest survives
 
     def test_unbounded_store_never_gcs(self, tmp_path):
-        store = QueryDiskStore(str(tmp_path / "q"))
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC)
         self._fill(store, 10, time.time() - 1000)
         assert len(store) == 10
         assert store.evictions == 0
@@ -481,7 +478,7 @@ class TestQueryStoreGC:
             ]
         )
         assert all(r.status == "ok" for r in report.results)
-        assert len(QueryDiskStore(store_dir)) <= 1
+        assert len(DiskStore(store_dir, QUERY_CODEC)) <= 1
 
     def test_cli_flag_parses(self):
         from repro.__main__ import build_parser

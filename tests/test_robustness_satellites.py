@@ -290,12 +290,10 @@ class TestCorruptionCounters:
     def test_query_store_corruption_counts_in_obs_snapshot(
         self, tmp_path
     ):
-        from repro.solver.backends.cached import (
-            CachedResult,
-            QueryDiskStore,
-        )
+        from repro.diskstore import DiskStore
+        from repro.solver.backends.cached import CachedResult, QUERY_CODEC
 
-        store = QueryDiskStore(str(tmp_path / "q"))
+        store = DiskStore(str(tmp_path / "q"), QUERY_CODEC)
         store.put("fp", CachedResult("unsat"))
         with open(store._entry("fp"), "wb") as handle:
             handle.write(b"\x80garbage")
