@@ -3,7 +3,7 @@
 Runs the survey workload (survey shards + solve jobs over the synthetic
 corpus's heavily-duplicated regex literals) through the batch runner at
 1, 2 and 4 workers.  Reproduction targets: the worker pool scales
-jobs/minute with available cores, and the shared solver query cache
+jobs/minute with available cores, and each worker's solver query cache
 reports a nonzero hit rate because duplicated literals re-pose the same
 canonical query.
 
@@ -27,12 +27,7 @@ WORKER_COUNTS = (1, 2, 4)
 def _run(workers: int):
     jobs = survey_workload(n_packages=160, seed=1909, shards=8, solve_cap=40)
     runner = BatchRunner(
-        RunnerConfig(
-            workers=workers,
-            job_timeout=120.0,
-            use_cache=True,
-            shared_cache=workers > 1,
-        )
+        RunnerConfig(workers=workers, job_timeout=120.0, use_cache=True)
     )
     return runner.run(jobs)
 

@@ -306,7 +306,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             job_timeout=args.job_timeout,
             use_cache=not args.no_cache,
             cache_size=args.cache_size,
-            shared_cache=args.shared_cache,
             automata_cache=args.automata_cache,
             query_cache=args.query_cache,
             query_cache_max=args.query_cache_max,
@@ -623,11 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--cache-size", type=int, default=4096)
     batch.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="share one cache across all workers (manager-backed)",
-    )
-    batch.add_argument(
         "--level",
         default="refined",
         choices=["concrete", "model", "captures", "refined"],
@@ -750,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the solver query cache",
     )
     serve.add_argument("--cache-size", type=int, default=4096)
-    serve.add_argument(
-        "--shared-cache", action="store_true",
-        help="share one cache across all workers (manager-backed)",
-    )
     serve.add_argument(
         "--automata-cache", default=None, help=automata_cache_help
     )

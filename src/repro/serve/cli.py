@@ -100,7 +100,6 @@ def run_serve(args) -> int:
             job_timeout=args.job_timeout,
             use_cache=not args.no_cache,
             cache_size=args.cache_size,
-            shared_cache=args.shared_cache,
             automata_cache=args.automata_cache,
             query_cache=args.query_cache,
             query_cache_max=args.query_cache_max,

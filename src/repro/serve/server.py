@@ -17,9 +17,10 @@ this module owns connection lifecycle and drain:
   and the worker slot recycles, the orphaned result is dropped;
 - SIGTERM/SIGINT triggers a graceful drain: stop accepting, reject new
   submits with ``draining``, flush every in-flight job's result to its
-  waiters, close the pool gracefully (worker ``atexit`` hooks close
-  pooled solver sessions), close this process's session pool, and
-  checkpoint metrics — then exit 0.
+  waiters, close the pool gracefully (each worker exits on a stop
+  message, and its pooled solver sessions exit on EOF of their pipes),
+  close this process's session pool, and checkpoint metrics — then
+  exit 0.
 
 With ``--cluster`` the same listener doubles as the fleet coordinator:
 ``register`` / ``heartbeat`` / ``done`` / ``cache_get`` / ``cache_put``

@@ -1,4 +1,4 @@
-"""Batch analysis service: parallel DSE job running + shared query cache.
+"""Batch analysis service: parallel DSE job running + per-worker query cache.
 
 The orchestration layer the paper's evaluation implies (1,131 packages,
 1-hour budgets, fleets of machines): a JSON-serializable job model, a
@@ -10,7 +10,6 @@ from repro.solver.backends.cached import (
     CachedResult,
     CachedSolver,
     QueryCache,
-    SharedQueryCache,
 )
 from repro.service.jobs import (
     AnalyzeJob,
@@ -53,7 +52,6 @@ __all__ = [
     "JobResult",
     "QueryCache",
     "RunnerConfig",
-    "SharedQueryCache",
     "SolveJob",
     "SurveyJob",
     "analyze_jobs_from_files",

@@ -1,17 +1,14 @@
 """The worker-pool batch runner.
 
-Runs many jobs concurrently across ``multiprocessing`` workers, the way
-the paper's evaluation fanned 1,131 packages across machines.  Design
+Runs many jobs concurrently across worker processes, the way the
+paper's evaluation fanned 1,131 packages across machines.  Design
 points:
 
 - **Process workers, persistent caches.**  Each worker process builds
-  one :class:`~repro.solver.backends.cached.QueryCache` in its
-  initializer and keeps it alive across every job it executes, so
-  duplicated queries from different jobs hit.  With
-  ``shared_cache=True`` a single manager-backed
-  :class:`~repro.solver.backends.cached.SharedQueryCache` is shared by
-  *all* workers instead.  With ``automata_cache=PATH`` every worker
-  also attaches the persistent on-disk automata compilation
+  one :class:`~repro.solver.backends.cached.QueryCache` when it starts
+  and keeps it alive across every job it executes, so duplicated
+  queries from different jobs hit.  With ``automata_cache=PATH`` every
+  worker also attaches the persistent on-disk automata compilation
   store, so corpus regexes are compiled once per *path*, not once per
   process per invocation.
 - **Scheduler-level dedup.**  With ``dedup=True`` jobs are coalesced
@@ -25,15 +22,16 @@ points:
   (``Job.run``) and come back as ``status="error"`` results; a lost or
   overdue worker task becomes ``status="timeout"``.  One bad program
   never takes down the batch.
-- **Self-healing workers.**  Every pool dispatch is tracked (a worker
-  announces job start/end on a side-channel queue), and a monitor
-  thread watches for two failure shapes: a *dead* worker (its job is
-  synthesized into a ``WorkerCrashed`` error the moment the process is
-  gone — no waiting out the backstop) and a *wedged* worker (past
-  ``job_timeout`` it is SIGKILLed so the pool respawns it and the slot
-  is never permanently lost).  Either way the dispatch record is
-  consumed exactly once: a late result from a healed slot is dropped,
-  never double-delivered.
+- **Self-healing workers.**  The runner owns its ``workers`` processes,
+  each with its own duplex pipe.  One dispatcher thread hands a job
+  only to an idle worker (the rest wait in a runner-side queue), so it
+  always knows which job each worker holds, and it blocks on every
+  pipe and process sentinel at once.  A readable pipe is that job's
+  result; a fired sentinel (or EOF on the pipe) is that job's crash,
+  settled as a ``WorkerCrashed`` error the moment the process is gone;
+  a job still held ``job_timeout`` after hand-off has its worker
+  SIGKILLed and is settled as a timeout.  A dead or killed worker's
+  slot is respawned, and every dispatch is settled exactly once.
 - **Bounded retries + quarantine.**  With ``retry_max > 0`` the
   :class:`~repro.faults.RetryPolicy` re-drives crashed/timed-out jobs
   with exponential backoff and deterministic jitter; a poison job that
@@ -44,22 +42,25 @@ points:
   first.
 - **Bounded jobs.**  Per-job wall budgets are enforced inside the job
   (engine time budgets, solver timeouts); ``job_timeout`` is the outer
-  backstop while waiting on a worker.
+  backstop, counted in pool mode from hand-off to a worker.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import queue as queue_module
-import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -74,32 +75,25 @@ from repro.obs import metrics as _metrics
 from repro.obs.export import ObsRun
 from repro.service.jobs import JobResult, _JobBase, job_from_spec
 from repro.solver.backends import CachedBackend, make_backend
-from repro.solver.backends.cached import QueryCache, SharedQueryCache
+from repro.solver.backends.cached import QueryCache
 
-#: Per-worker-process state, installed by the pool initializer and
+#: Per-worker-process state, installed by :func:`_worker_init` and
 #: reused by every job the worker executes.
 _WORKER_CACHE: Optional[object] = None
-#: The runner's start/end side channel (a ``multiprocessing.Queue``)
-#: the self-healing monitor reads; ``None`` outside a tracked pool.
-_WORKER_EVENTS = None
 
 
 def _worker_init(
     use_cache: bool,
     cache_size: int,
-    shared_cache,
     automata_cache,
     query_cache=None,
     query_cache_max=None,
     obs_config=None,
     session_idle_s=None,
     fault_plan=None,
-    events=None,
 ) -> None:
-    global _WORKER_CACHE, _WORKER_EVENTS
-    if shared_cache is not None:
-        _WORKER_CACHE = shared_cache
-    elif use_cache or query_cache:
+    global _WORKER_CACHE
+    if use_cache or query_cache:
         _WORKER_CACHE = QueryCache(maxsize=cache_size)
     else:
         _WORKER_CACHE = None
@@ -118,9 +112,6 @@ def _worker_init(
     # falls back to REPRO_FAULT_PLAN — worker fault state is always
     # deterministic, and a respawned worker restarts its hit counters.
     faults.install(fault_plan)
-    _WORKER_EVENTS = events
-
-
 def _make_solver_factory(cache) -> Callable[..., object]:
     """The factory handed to every job: backend spec in, solver out.
 
@@ -187,7 +178,7 @@ def _make_solver_factory(cache) -> Callable[..., object]:
 
 
 def _run_spec(spec: dict) -> dict:
-    """Worker-side job execution (module-level so it pickles)."""
+    """Worker-side job execution."""
     job = job_from_spec(spec)
     result = job.run(solver_factory=_make_solver_factory(_WORKER_CACHE))
     # Ship this worker's cumulative metrics through the spool at every
@@ -196,48 +187,77 @@ def _run_spec(spec: dict) -> dict:
     return result.to_spec()
 
 
-def _run_spec_tracked(spec: dict, token: int) -> dict:
-    """:func:`_run_spec` plus start/end events for the healing monitor.
 
-    The ``start`` event binds the dispatch token to this worker's pid
-    *before* anything can crash, so a SIGKILL mid-job (real or from the
-    ``worker:job`` fault site) is attributable to exactly one job.  The
-    ``end`` event clears the wedge/crash suspicion; a worker that dies
-    after it delivers is nobody's fault.
+def _worker_main(conn, runner_end, initargs: tuple) -> None:
+    """A pool worker's life: run each job spec the runner sends.
+
+    Each spec is answered with ``("ok", result_spec)`` or, when the job
+    machinery itself raises, ``("error", text)``.  A ``None`` stop
+    message or EOF on the pipe (the runner went away) ends the loop.
     """
-    events = _WORKER_EVENTS
-    pid = os.getpid()
-    if events is not None:
+    # Drop the fork-inherited copy of the runner's end of this pipe, so
+    # the runner dying is seen here as EOF.
+    runner_end.close()
+    _worker_init(*initargs)
+    while True:
         try:
-            events.put(("start", token, pid))
-        except Exception:
-            pass
-    try:
-        faults.crash_point("worker:job", job_id=spec.get("job_id", ""))
-        return _run_spec(spec)
-    finally:
-        if events is not None:
-            try:
-                events.put(("end", token, pid))
-            except Exception:
-                pass
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        if spec is None:
+            return
+        try:
+            faults.crash_point("worker:job", job_id=spec.get("job_id", ""))
+            reply = ("ok", _run_spec(spec))
+        except Exception as exc:
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:
+            return
 
 
 @dataclass
 class _Dispatch:
-    """One in-flight pool dispatch, consumed exactly once."""
+    """One submitted pool job, settled exactly once."""
 
+    spec: dict
     job_id: str
     kind: str
     deliver: Callable[[JobResult], None]
-    submitted_at: float
-    pid: Optional[int] = None
-    started_at: Optional[float] = None
-    ended: bool = False
-    #: The pool's ``AsyncResult`` — kept so a monitor-settled job can be
-    #: struck from the pool's pending-task cache (a task lost to a dead
-    #: worker otherwise pins ``Pool.join`` forever).
-    handle: Optional[object] = None
+
+
+class _Worker:
+    """One pool slot: a worker process, the runner's end of its pipe,
+    and the dispatch it holds (``None`` while idle)."""
+
+    def __init__(self, initargs: tuple):
+        self.conn, child = multiprocessing.Pipe()
+        # The platform's default start method (fork on Linux): a worker
+        # inherits the runner's imports, so a respawn costs milliseconds
+        # rather than a fresh interpreter start.
+        self.process = multiprocessing.Process(
+            target=_worker_main,
+            args=(child, self.conn, initargs),
+            name="repro-pool-worker",
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+        self.job: Optional[_Dispatch] = None
+        self.deadline = 0.0
+
+    def stop(self, kill: bool) -> None:
+        """SIGKILL (or ask to exit) and reap the process; close the pipe."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        self.process.join()
+        self.conn.close()
 
 
 @dataclass
@@ -254,7 +274,6 @@ class RunnerConfig:
     job_timeout: float = 300.0  # outer backstop per job, seconds
     use_cache: bool = True
     cache_size: int = 4096
-    shared_cache: bool = False  # one manager-backed cache for all workers
     #: Directory of the persistent automata compilation store; attached
     #: in every worker (and inline) so batch invocations pointed at the
     #: same path share compiled DFAs across processes and runs.
@@ -289,9 +308,6 @@ class RunnerConfig:
     #: default.  ``None`` leaves workers to the ``REPRO_FAULT_PLAN``
     #: environment variable (unset ⇒ no faults).
     fault_plan: Optional[dict] = None
-    #: Cadence of the self-healing monitor that detects dead/wedged
-    #: pool workers (pool mode only).
-    heal_interval_s: float = 0.2
     #: Observability (all off by default — the strictly-disabled path):
     #: merged trace output file, its format (``jsonl`` | ``chrome``),
     #: batch-level metrics JSON, and the slow-query threshold in ms.
@@ -329,24 +345,24 @@ class BatchRunner:
             raise ValueError("workers must be >= 0")
         self.retry = self.config.retry_policy()
         self._obs_run: Optional[ObsRun] = None
-        self._pool = None
-        self._manager = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._inline_factory: Optional[Callable[..., object]] = None
         self._started = False
-        # -- self-healing state (pool mode) ---------------------------------
-        self._events = None
         self._tokens = itertools.count(1)
-        self._dispatches: Dict[int, _Dispatch] = {}
-        self._dispatch_lock = threading.Lock()
-        self._monitor: Optional[threading.Thread] = None
-        self._monitor_stop = threading.Event()
+        # -- pool mode: workers, their queue and the dispatcher thread ------
+        self._workers: List[_Worker] = []
+        self._queue: Deque[_Dispatch] = deque()
+        self._lock = threading.Lock()  # guards _workers, _queue, _closing
+        self._closing = False
+        self._abort = False
+        self._initargs: tuple = ()
+        self._wake_r = self._wake_w = -1
+        self._dispatcher: Optional[threading.Thread] = None
         # -- recovery accounting (cumulative over the runner's life) --------
         self.worker_crashes = 0
         self.heals = 0
         self.retries = 0
         self.quarantined = 0
-        self.late_drops = 0
 
     def run(self, jobs: Sequence[_JobBase]) -> "BatchReport":
         from repro.service.report import BatchReport
@@ -409,10 +425,11 @@ class BatchRunner:
 
         With ``workers == 0`` jobs execute on one internal thread in
         this process (same inline cache semantics as :meth:`run`);
-        otherwise a ``multiprocessing.Pool`` is created once and reused
-        across every submitted job.  ``obs_run`` is the optional
-        observability run whose worker config the pool initializer
-        forwards.  Idempotent; pair with :meth:`close`.
+        otherwise ``workers`` processes and the dispatcher thread are
+        started once and reused across every submitted job.
+        ``obs_run`` is the optional observability run whose worker
+        config every worker receives.  Idempotent; pair with
+        :meth:`close`.
         """
         if self._started:
             return self
@@ -430,66 +447,51 @@ class BatchRunner:
                 thread_name_prefix="repro-inline-job",
             )
         else:
-            shared = None
-            if self.config.shared_cache and self.config.use_cache:
-                self._manager = multiprocessing.Manager()
-                shared = SharedQueryCache.create(
-                    self._manager, maxsize=self.config.cache_size
-                )
-            # SimpleQueue, not Queue: its put() is a synchronous locked
-            # pipe write, so a worker's "start" event survives the
-            # worker being SIGKILLed immediately afterwards (Queue's
-            # feeder thread would race the kill and lose the event —
-            # and with it the monitor's ability to settle the job).
-            self._events = multiprocessing.SimpleQueue()
-            self._pool = multiprocessing.Pool(
-                processes=self.config.workers,
-                initializer=_worker_init,
-                initargs=self._worker_initargs(shared),
-            )
-            self._monitor_stop.clear()
-            self._monitor = threading.Thread(
-                target=self._monitor_loop,
-                name="repro-pool-monitor",
+            self._initargs = self._worker_initargs()
+            self._closing = self._abort = False
+            self._workers = [
+                _Worker(self._initargs) for _ in range(self.config.workers)
+            ]
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_r, False)
+            os.set_blocking(self._wake_w, False)
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop,
+                name="repro-pool-dispatcher",
                 daemon=True,
             )
-            self._monitor.start()
+            self._dispatcher.start()
         self._started = True
         return self
 
     def close(self, graceful: bool = True) -> None:
         """Tear the persistent pool down.
 
-        ``graceful`` joins workers after their in-flight jobs finish
-        (so worker ``atexit`` hooks close pooled solver sessions — no
-        leaked ``Popen``); ``graceful=False`` terminates them.
+        ``graceful`` lets queued and in-flight jobs finish, then asks
+        each worker to exit; ``graceful=False`` drops queued jobs
+        undelivered and SIGKILLs the workers.  A worker's pooled solver
+        sessions die with it: each session child exits on EOF of its
+        pipes once the worker is gone.
         """
         if not self._started:
             return
         self._started = False
-        pool, self._pool = self._pool, None
         executor, self._executor = self._executor, None
-        manager, self._manager = self._manager, None
-        events, self._events = self._events, None
-        monitor, self._monitor = self._monitor, None
+        dispatcher, self._dispatcher = self._dispatcher, None
         self._inline_factory = None
-        if monitor is not None:
-            self._monitor_stop.set()
-            monitor.join(timeout=5.0)
-        if pool is not None:
-            if graceful:
-                pool.close()
-            else:
-                pool.terminate()
-            pool.join()
+        if dispatcher is not None:
+            with self._lock:
+                self._closing = True
+                self._abort = not graceful
+                if not graceful:
+                    self._queue.clear()
+            self._wake()
+            dispatcher.join()
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            self._workers = []
         if executor is not None:
             executor.shutdown(wait=graceful)
-        if manager is not None:
-            manager.shutdown()
-        if events is not None:
-            events.close()
-        with self._dispatch_lock:
-            self._dispatches.clear()
 
     def __enter__(self) -> "BatchRunner":
         return self.start()
@@ -503,15 +505,14 @@ class BatchRunner:
         """Submit one job to the started pool; deliver as it completes.
 
         ``on_done`` receives the :class:`JobResult` from an internal
-        thread (the pool's result handler, the healing monitor, or the
-        inline executor thread) — callers that live on an event loop
-        must marshal it themselves (``loop.call_soon_threadsafe``).
-        Exceptions raised by ``on_done`` are swallowed: a broken
-        consumer must not kill the shared result-handler thread the
-        rest of the pool needs.  Returns the dispatch token in pool
-        mode (``None`` inline) — delivery happens exactly once per
-        token, whichever of the worker callback / crash detection /
-        wedge heal gets there first.
+        thread (the pool's dispatcher thread or the inline executor
+        thread) — callers that live on an event loop must marshal it
+        themselves (``loop.call_soon_threadsafe``).  Exceptions raised
+        by ``on_done`` are swallowed: a broken consumer must not kill
+        the dispatcher thread the rest of the pool needs.  Returns the
+        dispatch token in pool mode (``None`` inline); delivery happens
+        exactly once per token — the worker's result, its crash, or
+        its backstop timeout.
         """
         if not self._started:
             raise RuntimeError("BatchRunner.submit() before start()")
@@ -522,205 +523,163 @@ class BatchRunner:
             except Exception:
                 pass
 
-        def failed(exc: BaseException) -> JobResult:
-            return JobResult(
-                job_id=job.job_id,
-                kind=job.KIND,
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-        if self._pool is not None:
-            token = next(self._tokens)
-            record = _Dispatch(
-                job_id=job.job_id,
-                kind=job.KIND,
-                deliver=deliver,
-                submitted_at=time.monotonic(),
-            )
-            with self._dispatch_lock:
-                self._dispatches[token] = record
-            try:
-                record.handle = self._pool.apply_async(
-                    _run_spec_tracked,
-                    (job.to_spec(), token),
-                    callback=lambda spec, token=token: self._settle(
-                        token, JobResult.from_spec(spec)
-                    ),
-                    error_callback=lambda exc, token=token: self._settle(
-                        token, failed(exc)
-                    ),
-                )
-            except Exception:
-                with self._dispatch_lock:
-                    self._dispatches.pop(token, None)
-                raise
-            return token
+        if self._dispatcher is not None:
+            record = _Dispatch(job.to_spec(), job.job_id, job.KIND, deliver)
+            with self._lock:
+                if self._closing:
+                    raise RuntimeError("BatchRunner.submit() after close()")
+                self._queue.append(record)
+                self._wake()
+            return next(self._tokens)
         factory = self._inline_factory
 
         def run_inline() -> None:
             try:
                 result = job.run(solver_factory=factory)
             except Exception as exc:  # job.run traps; belt-and-braces
-                result = failed(exc)
+                result = JobResult(
+                    job_id=job.job_id,
+                    kind=job.KIND,
+                    status="error",
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             deliver(result)
 
         self._executor.submit(run_inline)
         return None
 
-    # -- self-healing monitor (pool mode) ------------------------------------
+    # -- the dispatcher thread (pool mode) -----------------------------------
 
-    def _settle(self, token: int, result: JobResult) -> None:
-        """Deliver a dispatch's result exactly once; drop seconds."""
-        with self._dispatch_lock:
-            record = self._dispatches.pop(token, None)
-        if record is None:
-            # Already settled by the healing monitor (backstop timeout
-            # or crash): this is the late completion — drop it.
-            self.late_drops += 1
-            _metrics.count("runner_late_results_dropped_total")
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: a wake-up is already pending
+
+    def _dispatch_loop(self) -> None:
+        """Hand queued jobs to idle workers and settle every result,
+        crash and overrun, until :meth:`close`."""
+        while True:
+            with self._lock:
+                idle = all(worker.job is None for worker in self._workers)
+                if self._closing and (
+                    self._abort or (idle and not self._queue)
+                ):
+                    break
+                self._hand_off()
+                workers = list(self._workers)
+            owners = {}
+            for worker in workers:
+                owners[worker.conn] = owners[worker.process.sentinel] = worker
+            deadlines = [w.deadline for w in workers if w.job is not None]
+            timeout = (
+                max(0.0, min(deadlines) - time.monotonic())
+                if deadlines
+                else None
+            )
+            for ready in wait([self._wake_r, *owners], timeout):
+                if ready == self._wake_r:
+                    try:
+                        while os.read(self._wake_r, 4096):
+                            pass
+                    except BlockingIOError:
+                        pass
+                else:
+                    self._service(owners[ready])
+            now = time.monotonic()
+            for worker in workers:
+                if worker.job is not None and worker.deadline <= now:
+                    self._heal(worker)
+        for worker in self._workers:
+            worker.stop(kill=self._abort)
+
+    def _hand_off(self) -> None:
+        """Give queued jobs to idle workers (caller holds the lock)."""
+        for worker in self._workers:
+            if not self._queue:
+                return
+            if worker.job is not None:
+                continue
+            record = self._queue.popleft()
+            try:
+                worker.conn.send(record.spec)
+            except OSError:
+                # The worker died idle; its sentinel respawns the slot.
+                self._queue.appendleft(record)
+                continue
+            worker.job = record
+            worker.deadline = time.monotonic() + self.config.job_timeout
+
+    def _service(self, worker: _Worker) -> None:
+        """The worker's pipe or sentinel fired: its job's result, or
+        its death."""
+        if worker.conn.closed:
+            return  # already replaced earlier in this pass
+        try:
+            status, payload = worker.conn.recv()
+        except (EOFError, OSError):
+            pid = worker.process.pid
+            record = self._replace(worker)
+            if record is None:
+                return  # died idle: nobody's job is lost
+            self.worker_crashes += 1
+            obs.event("runner:worker_crash", job_id=record.job_id, pid=pid)
+            _metrics.count("runner_worker_crashes_total")
+            record.deliver(
+                crash_result(record.job_id, record.kind, f"pid {pid}")
+            )
             return
+        record, worker.job = worker.job, None
+        if status == "ok":
+            result = JobResult.from_spec(payload)
+        else:
+            result = JobResult(
+                job_id=record.job_id,
+                kind=record.kind,
+                status="error",
+                error=payload,
+            )
         record.deliver(result)
 
-    def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(self.config.heal_interval_s):
-            try:
-                self._monitor_pass()
-            except Exception:
-                pass
+    def _heal(self, worker: _Worker) -> None:
+        """SIGKILL a worker wedged past ``job_timeout``, respawn its
+        slot, and settle its job as a backstop timeout."""
+        pid = worker.process.pid
+        record = self._replace(worker)
+        self.heals += 1
+        obs.event("runner:worker_heal", job_id=record.job_id, pid=pid)
+        _metrics.count("runner_worker_heals_total")
+        backstop = self.config.job_timeout
+        record.deliver(_backstop_timeout(record.job_id, record.kind, backstop))
 
-    def _drain_events(self) -> None:
-        events = self._events
-        if events is None:
-            return
-        while True:
-            try:
-                if events.empty():
-                    return
-                # Sole consumer (the monitor thread), so a non-empty
-                # queue cannot be drained out from under this get().
-                kind, token, pid = events.get()
-            except (EOFError, OSError, ValueError):
-                return
-            with self._dispatch_lock:
-                record = self._dispatches.get(token)
-            if record is None:
-                continue
-            if kind == "start":
-                record.pid = pid
-                record.started_at = time.monotonic()
-            elif kind == "end":
-                record.ended = True
-
-    @staticmethod
-    def _forget_pool_task(record: _Dispatch) -> None:
-        """Strike a monitor-settled job from the pool's pending cache.
-
-        A task lost to a SIGKILLed worker never produces a result, so
-        its ``ApplyResult`` would sit in ``Pool._cache`` forever — and
-        the pool's handler threads refuse to exit while that cache is
-        non-empty, wedging ``Pool.join`` at teardown.  Removing the
-        entry is safe: ``_handle_results`` tolerates unknown job ids,
-        so even a miraculously-late genuine result is just ignored.
-        """
-        handle = record.handle
-        try:
-            handle._cache.pop(handle._job, None)
-        except AttributeError:
-            pass
-
-    def _monitor_pass(self) -> None:
-        self._drain_events()
-        pool = self._pool
-        if pool is None:
-            return
-        try:
-            alive = {p.pid for p in pool._pool if p.is_alive()}
-        except Exception:
-            alive = None
-        now = time.monotonic()
-        with self._dispatch_lock:
-            snapshot = list(self._dispatches.items())
-        for token, record in snapshot:
-            if record.ended or record.started_at is None:
-                continue
-            if alive is not None and record.pid not in alive:
-                # Dead worker: the pool respawns the process on its
-                # own, but the job's result is lost forever — settle it
-                # as a crash now instead of waiting out the backstop.
-                with self._dispatch_lock:
-                    if self._dispatches.pop(token, None) is None:
-                        continue
-                self._forget_pool_task(record)
-                self.worker_crashes += 1
-                obs.event(
-                    "runner:worker_crash",
-                    job_id=record.job_id,
-                    pid=record.pid,
-                )
-                _metrics.count("runner_worker_crashes_total")
-                record.deliver(
-                    crash_result(
-                        record.job_id, record.kind, f"pid {record.pid}"
-                    )
-                )
-            elif now - record.started_at > self.config.job_timeout:
-                # Wedged worker: SIGKILL it so the pool respawns the
-                # slot, and settle the job as a backstop timeout.  The
-                # dispatch record is consumed here, so if the task
-                # somehow completes anyway the result is dropped.
-                with self._dispatch_lock:
-                    if self._dispatches.pop(token, None) is None:
-                        continue
-                self._forget_pool_task(record)
-                try:
-                    os.kill(record.pid, signal.SIGKILL)
-                except (OSError, TypeError):
-                    pass
-                self.heals += 1
-                obs.event(
-                    "runner:worker_heal",
-                    job_id=record.job_id,
-                    pid=record.pid,
-                )
-                _metrics.count("runner_worker_heals_total")
-                record.deliver(
-                    JobResult(
-                        job_id=record.job_id,
-                        kind=record.kind,
-                        status="timeout",
-                        seconds=self.config.job_timeout,
-                        error=(
-                            "job exceeded the runner's "
-                            f"{self.config.job_timeout}s backstop"
-                        ),
-                    )
-                )
+    def _replace(self, worker: _Worker) -> Optional[_Dispatch]:
+        """Kill and reap ``worker``, respawn its slot, and return the
+        job it held."""
+        record, worker.job = worker.job, None
+        worker.stop(kill=True)
+        fresh = _Worker(self._initargs)
+        with self._lock:
+            self._workers[self._workers.index(worker)] = fresh
+        return record
 
     def pool_health(self) -> dict:
         """Liveness of the execution backend (the ``health`` op's
         ``runner`` section)."""
+        with self._lock:
+            workers = list(self._workers)
+            queued = len(self._queue)
         health = {
             "mode": "inline" if self.config.workers == 0 else "pool",
             "started": self._started,
             "workers": self.config.workers,
-            "workers_alive": 0,
-            "jobs_tracked": len(self._dispatches),
+            "workers_alive": sum(w.process.is_alive() for w in workers),
+            "jobs_tracked": queued + sum(w.job is not None for w in workers),
             "worker_crashes": self.worker_crashes,
             "heals": self.heals,
             "retries": self.retries,
             "quarantined": self.quarantined,
-            "late_drops": self.late_drops,
         }
-        pool = self._pool
-        if pool is not None:
-            try:
-                health["workers_alive"] = sum(
-                    1 for p in pool._pool if p.is_alive()
-                )
-            except Exception:
-                pass
-        elif self._executor is not None:
+        if self._executor is not None:
             health["workers_alive"] = max(1, self.config.inline_concurrency)
         return health
 
@@ -735,10 +694,9 @@ class BatchRunner:
         :class:`RetryPolicy` (``retry_max``), poison jobs come back
         ``status="quarantined"``, and a stale attempt's late result is
         dropped — each submission index yields exactly once.  In pool
-        mode the healing monitor owns precise backstop timing (from the
-        worker's *start* event, so queue wait does not count); the
-        local deadline here is an anti-hang fallback with 30s of slack.
-        Starts and closes a pool of its own unless the runner was
+        mode the dispatcher owns the backstop (from hand-off, so queue
+        wait does not count); inline, the deadline here is the only
+        one.  Starts and closes a pool of its own unless the runner was
         already :meth:`start`\\ ed.  No scheduler-level dedup: the
         caller owns coalescing in as-completed mode (the serve daemon's
         single-flight table does exactly that).
@@ -748,22 +706,21 @@ class BatchRunner:
         if owns_pool:
             self.start(obs_run=self._obs_run)
         policy = self.retry
-        pool_mode = self._pool is not None
-        slack = 30.0 if pool_mode else 0.0
+        inline = self._executor is not None
         backstop = self.config.job_timeout
         results: "queue_module.Queue[Tuple[int, int, JobResult]]" = (
             queue_module.Queue()
         )
         attempts = [0] * len(jobs)
         crashes = [0] * len(jobs)
-        tokens: Dict[int, Optional[int]] = {}
         deadlines: Dict[int, float] = {}
         retry_at: Dict[int, float] = {}
 
         def dispatch(index: int) -> None:
             attempt = attempts[index]
-            deadlines[index] = time.monotonic() + backstop + slack
-            tokens[index] = self.submit(
+            if inline:
+                deadlines[index] = time.monotonic() + backstop
+            self.submit(
                 jobs[index],
                 lambda result, index=index, attempt=attempt: results.put(
                     (index, attempt, result)
@@ -814,47 +771,27 @@ class BatchRunner:
                     del retry_at[index]
                     dispatch(index)
                 wake_at = min(
-                    retry_at.get(i, deadlines[i]) for i in pending
+                    retry_at.get(i, deadlines.get(i, math.inf))
+                    for i in pending
                 )
                 try:
                     index, attempt, result = results.get(
                         timeout=max(0.0, wake_at - now)
+                        if wake_at < math.inf
+                        else None
                     )
                 except queue_module.Empty:
                     now = time.monotonic()
                     overdue = sorted(
                         i for i in pending
-                        if i not in retry_at and deadlines[i] <= now
+                        if i not in retry_at
+                        and deadlines.get(i, math.inf) <= now
                     )
                     for index in overdue:
-                        token = tokens.get(index)
-                        record = None
-                        if token is not None:
-                            with self._dispatch_lock:
-                                record = self._dispatches.get(token)
-                        if record is not None:
-                            # Still tracked: queued (not started) or
-                            # the monitor hasn't fired yet — re-arm the
-                            # local fallback from the true start time.
-                            base = record.started_at or now
-                            if base + backstop + slack > now:
-                                deadlines[index] = base + backstop + slack
-                                continue
-                            with self._dispatch_lock:
-                                self._dispatches.pop(token, None)
                         job = jobs[index]
                         final = resolve(
                             index,
-                            JobResult(
-                                job_id=job.job_id,
-                                kind=job.KIND,
-                                status="timeout",
-                                seconds=backstop,
-                                error=(
-                                    "job exceeded the runner's "
-                                    f"{backstop}s backstop"
-                                ),
-                            ),
+                            _backstop_timeout(job.job_id, job.KIND, backstop),
                         )
                         if final is not None:
                             pending.discard(index)
@@ -889,11 +826,10 @@ class BatchRunner:
             )
         return _make_solver_factory(cache)
 
-    def _worker_initargs(self, shared) -> tuple:
+    def _worker_initargs(self) -> tuple:
         return (
             self.config.use_cache,
             self.config.cache_size,
-            shared,
             self.config.automata_cache,
             self.config.query_cache,
             self.config.query_cache_max,
@@ -902,7 +838,6 @@ class BatchRunner:
             else None,
             self.config.session_idle_s,
             self.config.fault_plan,
-            self._events,
         )
 
     def _run_inline(self, jobs: Sequence[_JobBase]) -> List[JobResult]:
@@ -911,12 +846,23 @@ class BatchRunner:
 
     def _run_pool(self, jobs: Sequence[_JobBase]) -> List[JobResult]:
         """Pool-mode :meth:`run`: an ordered collect over
-        :meth:`run_iter`, which owns the pool lifecycle, the backstop,
-        and the retry/quarantine/self-healing machinery."""
+        :meth:`run_iter`, which owns the pool lifecycle and the
+        retry/quarantine/self-healing machinery."""
         results: List[Optional[JobResult]] = [None] * len(jobs)
         for index, result in self.run_iter(jobs):
             results[index] = result
         return [result for result in results if result is not None]
+
+
+def _backstop_timeout(job_id: str, kind: str, backstop: float) -> JobResult:
+    """The result of a job that overran the runner's ``job_timeout``."""
+    return JobResult(
+        job_id=job_id,
+        kind=kind,
+        status="timeout",
+        seconds=backstop,
+        error=f"job exceeded the runner's {backstop}s backstop",
+    )
 
 
 # -- scheduler-level dedup ----------------------------------------------------

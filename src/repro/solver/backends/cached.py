@@ -193,98 +193,6 @@ class QueryCache:
         }
 
 
-class SharedQueryCache:
-    """A cross-process cache client over ``multiprocessing.Manager``
-    proxies — the same get/put protocol as :class:`QueryCache`, so
-    :class:`CachedSolver` accepts either.
-
-    Entries live in the manager server process and are visible to every
-    worker; hit/miss counters are process-local (each worker reports its
-    own, the batch report sums them).  Eviction is LRU: a hit re-inserts
-    the key under the manager lock (the managed dict preserves insertion
-    order, so the front of the iteration order is always the
-    least-recently-*used* key, not merely the oldest-inserted one), and
-    a full cache drops that front key.  A disk store may be attached per
-    worker (``attach_store``): entries missing from the manager are
-    pulled from disk and promoted, definitive answers are written
-    through — atomic renames make concurrent workers safe.  Build one
-    via :meth:`create` and ship it to workers through the pool
-    initializer.
-    """
-
-    def __init__(self, store, lock, maxsize: int = 4096):
-        self._store = store
-        self._lock = lock
-        self.maxsize = maxsize
-        self.store: Optional[DiskStore] = None
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.disk_hits = 0
-
-    @classmethod
-    def create(cls, manager, maxsize: int = 4096) -> "SharedQueryCache":
-        return cls(manager.dict(), manager.Lock(), maxsize)
-
-    def attach_store(
-        self, path: Optional[str], max_entries: Optional[int] = None
-    ) -> None:
-        """Attach (or with ``None`` detach) a per-process disk store."""
-        self.store = attach(self.store, path, QUERY_CODEC, max_entries)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def get(self, key: str) -> Optional[CachedResult]:
-        with self._lock:
-            entry = self._store.get(key)
-            if entry is not None:
-                # LRU touch: move the key to the back of the insertion
-                # order so eviction always drops the least-recently-used.
-                del self._store[key]
-                self._store[key] = entry
-        if entry is None and self.store is not None:
-            entry = self.store.get(key)
-            if entry is not None:
-                self.disk_hits += 1
-                self._put_shared(key, entry)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, entry: CachedResult) -> None:
-        self._put_shared(key, entry)
-        if self.store is not None:
-            self.store.put(key, entry)
-
-    def _put_shared(self, key: str, entry: CachedResult) -> None:
-        with self._lock:
-            if key not in self._store and len(self._store) >= self.maxsize:
-                oldest = next(iter(self._store.keys()), None)
-                if oldest is not None:
-                    del self._store[oldest]
-                    self.evictions += 1
-            self._store[key] = entry
-
-    def counters(self) -> dict:
-        return {
-            "size": len(self._store),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "disk_hits": self.disk_hits,
-            **disk_counters(self.store),
-        }
-
-
 class CachedSolver:
     """Drop-in solver wrapper that memoizes definitive answers.
 

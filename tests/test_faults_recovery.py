@@ -92,7 +92,6 @@ class TestWorkerKillRetry:
                 workers=1,
                 retry_max=2,
                 retry_backoff_s=0.05,
-                heal_interval_s=0.05,
                 fault_plan={
                     "rules": [
                         {"site": "worker:job", "action": "kill", "nth": 2}
@@ -111,6 +110,60 @@ class TestWorkerKillRetry:
         assert sum(r.retries for r in report.results) == 1
         spec = report.to_spec()
         assert spec["recovery"] == {"retries": 1, "quarantined": 0}
+
+    def test_wedged_worker_is_healed_and_its_job_retried(self):
+        """A worker stuck past ``job_timeout`` is SIGKILLed and its slot
+        respawned; the job comes back ``ok`` after one retry.
+
+        ``nth=2`` wedges the worker on its second job.  ``nth=1`` would
+        wedge the retry too: a respawned worker restarts its counters.
+        """
+        config = RunnerConfig(
+            workers=1,
+            job_timeout=1.0,
+            retry_max=1,
+            retry_backoff_s=0.05,
+            fault_plan={
+                "rules": [{"site": "worker:job", "action": "wedge", "nth": 2}]
+            },
+        )
+        jobs = [
+            SolveJob(job_id="warm", pattern="ab", solver_timeout=1.0),
+            SolveJob(job_id="wedged", pattern="cd", solver_timeout=1.0),
+        ]
+        with BatchRunner(config) as runner:
+            results = dict(runner.run_iter(jobs))
+            health = runner.pool_health()
+        assert [results[i].status for i in (0, 1)] == ["ok", "ok"]
+        assert results[1].retries == 1
+        assert health["heals"] == 1
+        assert health["workers_alive"] == 1
+        assert health["worker_crashes"] == 0
+
+    def test_worker_job_error_comes_back_without_retry(self):
+        """An exception at the ``worker:job`` site is the job's error
+        result: no retry, and the worker is not counted as crashed."""
+        config = RunnerConfig(
+            workers=1,
+            retry_max=1,
+            retry_backoff_s=0.05,
+            fault_plan={
+                "rules": [{"site": "worker:job", "action": "error", "nth": 1}]
+            },
+        )
+        with BatchRunner(config) as runner:
+            results = dict(
+                runner.run_iter(
+                    [SolveJob(job_id="e", pattern="ab", solver_timeout=1.0)]
+                )
+            )
+            health = runner.pool_health()
+        assert results[0].status == "error"
+        assert results[0].error.startswith("FaultInjected: ")
+        assert "worker:job" in results[0].error
+        assert results[0].retries == 0
+        assert health["retries"] == 0
+        assert health["worker_crashes"] == 0
 
     def test_no_fault_plan_means_no_retries(self):
         runner = BatchRunner(RunnerConfig(workers=0))
@@ -132,7 +185,6 @@ class TestPoisonQuarantine:
             retry_max=5,
             retry_backoff_s=0.05,
             quarantine_after=2,
-            heal_interval_s=0.05,
             fault_plan={
                 "rules": [
                     {

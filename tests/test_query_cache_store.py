@@ -3,11 +3,8 @@
 The store's defensive reads (corrupt, version-skewed and foreign-key
 entries evicted as misses) are checked for every kind in
 ``test_diskstore.py``; these tests cover the query kind's round trip
-and the cache tiers over it.  The shared (manager-protocol) cache must
-evict LRU — touch-on-hit — not merely oldest-inserted.
+and the cache tiers over it.
 """
-
-import threading
 
 import pytest
 
@@ -21,7 +18,6 @@ from repro.solver.backends.cached import (
     CachedResult,
     QUERY_CODEC,
     QUERY_STORE_VERSION,
-    SharedQueryCache,
 )
 
 
@@ -154,45 +150,6 @@ class TestQueryCacheWithStore:
         )
         backend.solve(membership("a"))
         assert len(backend.cache.store) == 0
-
-
-class TestSharedQueryCacheLru:
-    """The manager-protocol cache accepts a plain dict + lock, which is
-    what these tests use — the eviction logic is identical."""
-
-    def _cache(self, maxsize=2):
-        return SharedQueryCache(dict(), threading.Lock(), maxsize=maxsize)
-
-    def test_hit_touches_recency(self):
-        cache = self._cache(maxsize=2)
-        cache.put("a", CachedResult(UNSAT))
-        cache.put("b", CachedResult(UNSAT))
-        assert cache.get("a") is not None  # touch: a is now most recent
-        cache.put("c", CachedResult(UNSAT))  # evicts b, NOT a
-        assert cache.get("a") is not None
-        assert cache.get("b") is None
-        assert cache.get("c") is not None
-        assert cache.evictions == 1
-
-    def test_untouched_oldest_still_goes_first(self):
-        cache = self._cache(maxsize=2)
-        cache.put("a", CachedResult(UNSAT))
-        cache.put("b", CachedResult(UNSAT))
-        cache.put("c", CachedResult(UNSAT))
-        assert cache.get("a") is None
-        assert cache.get("b") is not None
-
-    def test_disk_store_attach(self, tmp_path):
-        path = str(tmp_path / "q")
-        cache = self._cache(maxsize=8)
-        cache.attach_store(path)
-        cache.put("fp", CachedResult(UNSAT))
-        # A different worker (fresh manager dict) pulls it from disk.
-        other = self._cache(maxsize=8)
-        other.attach_store(path)
-        assert other.get("fp") == CachedResult(UNSAT)
-        assert other.disk_hits == 1
-        assert "disk_stores" in cache.counters()
 
 
 class TestRunnerQueryCacheWiring:

@@ -1,5 +1,6 @@
 """Tests for the worker-pool batch runner."""
 
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -69,16 +70,6 @@ class TestPool:
         report = BatchRunner(workers=1, job_timeout=120.0).run(jobs)
         assert all(r.status == "ok" for r in report.results)
         assert report.cache_hits >= 2
-
-    def test_shared_cache_across_workers(self):
-        jobs = [
-            SolveJob(job_id=f"s{i}", pattern="x[yz]+") for i in range(4)
-        ]
-        report = BatchRunner(
-            workers=2, shared_cache=True, job_timeout=120.0
-        ).run(jobs)
-        assert all(r.status == "ok" for r in report.results)
-        assert report.cache_hits >= 1
 
     def test_failure_capture_does_not_poison_batch(self):
         jobs = [
@@ -192,6 +183,63 @@ class TestPersistentPool:
             assert done.wait(timeout=120.0)
         assert landed[0].status == "ok"
         assert landed[0].payload["found"] is True
+
+    def test_concurrent_submits_settle_exactly_once(self):
+        """Four threads submit to three workers while every worker dies
+        on its 5th job: each submission is delivered exactly once, and
+        every delivered crash is one the runner counted."""
+        jobs_per_thread, threads = 15, 4
+        total = jobs_per_thread * threads
+        landed = []
+        lock = threading.Lock()
+        all_landed = threading.Event()
+
+        def on_done(result):
+            with lock:
+                landed.append(result)
+                if len(landed) == total:
+                    all_landed.set()
+
+        config = RunnerConfig(
+            workers=3,
+            job_timeout=60.0,
+            fault_plan={
+                "rules": [{"site": "worker:job", "action": "kill", "every": 5}]
+            },
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchRunner(config) as runner:
+
+                def submit_all(thread):
+                    for i in range(jobs_per_thread):
+                        runner.submit(
+                            SolveJob(job_id=f"t{thread}-{i}", pattern="a+b"),
+                            on_done,
+                        )
+
+                submitters = [
+                    threading.Thread(target=submit_all, args=(t,))
+                    for t in range(threads)
+                ]
+                for thread in submitters:
+                    thread.start()
+                for thread in submitters:
+                    thread.join(timeout=60.0)
+                assert all_landed.wait(timeout=120.0)
+                health = runner.pool_health()
+        finally:
+            sys.setswitchinterval(interval)
+        ids = sorted(result.job_id for result in landed)
+        assert ids == sorted(
+            f"t{t}-{i}" for t in range(threads) for i in range(jobs_per_thread)
+        )
+        crashed = [r for r in landed if r.status == "error"]
+        assert all(r.error.startswith("WorkerCrashed") for r in crashed)
+        assert len(crashed) == health["worker_crashes"] > 0
+        assert health["workers_alive"] == 3
+        assert health["jobs_tracked"] == 0
 
     def test_close_is_idempotent(self):
         runner = BatchRunner(workers=0).start()
