@@ -770,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-single-flight", action="store_true",
-        help="disable cross-client coalescing of identical jobs",
+        help="disable cross-client coalescing and replay of identical jobs",
     )
     serve.add_argument(
         "--cluster", action="store_true",

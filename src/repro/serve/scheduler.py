@@ -23,7 +23,15 @@ structures need no locks.
   :func:`~repro.service.runner.replay_result` copy.  This is the
   scheduler-level dedup of ``--dedup`` lifted from one batch to the
   whole daemon: duplicates coalesce *across* clients and arrival
-  times, closing the ROADMAP's deferred in-flight-dedup item.
+  times, closing the ROADMAP's deferred in-flight-dedup item.  A
+  finished flight whose result the job class calls
+  :meth:`~repro.service.jobs._JobBase.replayable` (a found solve word,
+  already checked against the concrete matcher by CEGAR, reached
+  without a retry) stays in a bounded LRU of ``REPLAY_CAP`` keys, so a
+  later duplicate is answered from it without a queue slot, a dispatch
+  or a worker.  Not-found (UNSAT or UNKNOWN), failed, timed-out,
+  retried and quarantined results are never replayed, nor are analyze
+  and fuzz jobs: the next duplicate executes again.
 - **Cluster dispatch (optional).**  With a
   :class:`~repro.cluster.coordinator.ClusterCoordinator` attached, a
   dispatch first offers the job to a ready remote worker under an
@@ -40,8 +48,8 @@ structures need no locks.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from collections import OrderedDict, deque
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.service.jobs import JobResult, _JobBase
 from repro.service.runner import BatchRunner, replay_result
@@ -57,6 +65,9 @@ class Overloaded(Exception):
 
 #: Delivery callback: ``(result, coalesced)`` on the event loop thread.
 DeliverFn = Callable[[JobResult, bool], None]
+
+#: Finished flights kept for replay, least recently used evicted first.
+REPLAY_CAP = 1024
 
 
 class _Waiter:
@@ -135,6 +146,10 @@ class JobScheduler:
         self._queues: Dict[str, Deque[_Flight]] = {}
         self._rotation: Deque[str] = deque()
         self._by_key: Dict[str, _Flight] = {}
+        #: dedup key → (representative job, its replayable result).
+        self._replay: "OrderedDict[str, Tuple[_JobBase, JobResult]]" = (
+            OrderedDict()
+        )
         self._inflight: Set[_Flight] = set()
         #: Flights occupying a *local* runner slot; remote leases do
         #: not count against ``max_inflight``, only against their
@@ -154,6 +169,7 @@ class JobScheduler:
         self.executed = 0
         self.completed = 0
         self.coalesced = 0
+        self.replayed = 0
         self.rejected = 0
         self.timeouts = 0
         self.results_dropped = 0
@@ -174,8 +190,9 @@ class JobScheduler:
         """Admit one job; returns ``True`` when it coalesced.
 
         Raises :class:`Overloaded` when draining or past ``max_queue``.
-        A coalesced job consumes no queue slot — attaching to a flight
-        is free, which is the point of single-flight under load.
+        A coalesced job consumes no queue slot — attaching to a flight,
+        or replaying a finished one, is free, which is the point of
+        single-flight under load.
         """
         if self.draining:
             raise Overloaded("draining")
@@ -205,6 +222,17 @@ class JobScheduler:
             self.loop.call_soon(deliver, tombstone, False)
             return False
         if key is not None:
+            finished = self._replay.get(key)
+            if finished is not None:
+                # Scheduled, not called: the ``queued`` ack the caller
+                # sends on return must precede the result frame.
+                self._replay.move_to_end(key)
+                self.coalesced += 1
+                self.replayed += 1
+                self.loop.call_soon(
+                    deliver, replay_result(job, *finished), True
+                )
+                return True
             flight = self._by_key.get(key)
             if flight is not None:
                 flight.waiters.append(waiter)
@@ -405,6 +433,10 @@ class JobScheduler:
     def _finish(self, flight: _Flight, result: JobResult) -> None:
         if flight.key is not None:
             self._by_key.pop(flight.key, None)
+            if flight.job.replayable(result):
+                self._replay[flight.key] = (flight.job, result)
+                if len(self._replay) > REPLAY_CAP:
+                    self._replay.popitem(last=False)
         self.completed += 1
         if result.seconds > 0:
             # EWMA of job runtimes, feeding the overload retry-after
@@ -508,6 +540,7 @@ class JobScheduler:
             "jobs_executed": self.executed,
             "jobs_completed": self.completed,
             "singleflight_coalesced": self.coalesced,
+            "singleflight_replayed": self.replayed,
             "rejected": self.rejected,
             "timeouts": self.timeouts,
             "results_dropped": self.results_dropped,

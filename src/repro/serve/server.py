@@ -271,6 +271,9 @@ class ServeServer:
         metrics.gauge_set(
             "serve_singleflight_coalesced", stats["singleflight_coalesced"]
         )
+        metrics.gauge_set(
+            "serve_singleflight_replayed", stats["singleflight_replayed"]
+        )
         if self.cluster is not None:
             stats["cluster"] = self.cluster.stats()
         return stats

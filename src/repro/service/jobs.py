@@ -24,6 +24,7 @@ objects.  Results come back as :class:`JobResult`, also JSON-shaped.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import traceback
@@ -216,7 +217,26 @@ class JobResult:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "JobResult":
+        """Rebuild a result from :meth:`to_spec` output.
+
+        Payload keys are interned: every decoded frame would otherwise
+        hold its own copies of the same few key strings, and a client
+        keeping thousands of results pays for them all.
+        """
+        payload = spec.get("payload")
+        if payload:
+            spec = dict(spec, payload=_interned_keys(payload))
         return cls(**spec)
+
+
+def _interned_keys(mapping: dict) -> dict:
+    """``mapping`` with its string keys interned, nested dicts too."""
+    return {
+        (sys.intern(key) if type(key) is str else key): (
+            _interned_keys(value) if isinstance(value, dict) else value
+        )
+        for key, value in mapping.items()
+    }
 
 
 @dataclass
@@ -256,6 +276,15 @@ class _JobBase:
         fan its result out to the rest (see ``runner.py``).
         """
         return None
+
+    def replayable(self, result: JobResult) -> bool:
+        """Whether ``result`` may answer later jobs with this job's
+        :meth:`dedup_key` after its flight has finished.
+
+        Only answers that cannot change on a rerun qualify; the default
+        is never.
+        """
+        return False
 
     def run(
         self, solver_factory: Optional[Callable[..., object]] = None
@@ -435,6 +464,17 @@ class SolveJob(_JobBase):
                 str(self.backend),
                 fingerprint,
             ]
+        )
+
+    def replayable(self, result: JobResult) -> bool:
+        """A found word only: CEGAR checked it against the concrete
+        matcher.  Not-found results (UNSAT or UNKNOWN) are left out, as
+        UNKNOWN depends on machine load, and so are results that needed
+        a retry."""
+        return (
+            result.status == "ok"
+            and result.payload.get("found") is True
+            and result.retries == 0
         )
 
     def _run(self, solver_factory) -> Dict[str, object]:

@@ -5,10 +5,14 @@ windows are deterministic: a duplicate submitted while its twin is
 queued or in flight *must* coalesce — no sleeps, no timing luck.
 """
 
+import socket
 import threading
 
 import pytest
 
+from repro.obs import metrics
+from repro.obs.schema import validate_metrics_payload
+from repro.serve import protocol, scheduler
 from repro.serve.client import ServeClient
 from repro.service import jobs
 from repro.service.jobs import AnalyzeJob, SolveJob, SurveyJob
@@ -22,6 +26,7 @@ from serve_testing import (
     open_gate,
     reset_gates,
     start_daemon,
+    start_worker,
     stop_started,
     wait_until,
 )
@@ -164,6 +169,203 @@ class TestSingleFlight:
             assert done == {one["id"], two["id"]}
             assert server.scheduler.executed == 2
             assert server.scheduler.coalesced == 0
+
+
+def _solve(pattern="x(y|z)+w", **extra):
+    return dict({"kind": "solve", "pattern": pattern}, **extra)
+
+
+def _run_one(client, spec):
+    """Submit one spec and wait for it: ``(ack, result)``."""
+    ack = client.submit(spec)
+    return ack, client.wait_result(ack["id"])
+
+
+class TestReplay:
+    """Finished flights with a definitive answer answer later twins."""
+
+    def test_sequential_duplicate_is_replayed_without_dispatch(
+        self, tmp_path
+    ):
+        server, sock_path = start_daemon(tmp_path)
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            first, original = _run_one(client, _solve(job_id="first"))
+        assert original.payload["found"] is True
+        executed = server.scheduler.executed
+        # A raw connection sees the frames in the order they are sent.
+        raw = socket.socket(socket.AF_UNIX)
+        raw.settimeout(15.0)
+        raw.connect(sock_path)
+        try:
+            raw.sendall(
+                protocol.encode_frame(
+                    {"op": "submit", "id": "r1",
+                     "job": _solve(job_id="second")}
+                )
+            )
+            with raw.makefile("rb") as reader:
+                ack = protocol.decode_frame(reader.readline())
+                frame = protocol.decode_frame(reader.readline())
+        finally:
+            raw.close()
+        assert (ack["op"], ack["coalesced"]) == ("queued", True)
+        assert (frame["op"], frame["coalesced"]) == ("result", True)
+        replayed = frame["result"]
+        assert replayed["job_id"] == "second"
+        assert replayed["status"] == "ok"
+        assert replayed["payload"]["deduped_from"] == first["job_id"]
+        assert replayed["payload"]["word"] == original.payload["word"]
+        assert replayed["payload"]["solver_queries"] == 0
+        assert replayed["seconds"] == 0.0
+        assert replayed["cache_hits"] == replayed["cache_misses"] == 0
+        assert server.scheduler.executed == executed
+        stats = server.scheduler.stats()
+        assert stats["singleflight_replayed"] == 1
+        assert stats["singleflight_coalesced"] == 1
+        assert stats["jobs_completed"] == 1
+
+    def test_not_found_result_is_not_replayed(self, tmp_path):
+        server, sock_path = start_daemon(tmp_path)
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            _, first = _run_one(client, _solve("a^b"))
+            ack, second = _run_one(client, _solve("a^b"))
+        assert first.payload["found"] is False
+        assert ack["coalesced"] is False
+        assert "deduped_from" not in second.payload
+        assert server.scheduler.executed == 2
+        assert server.scheduler.replayed == 0
+
+    @pytest.mark.parametrize(
+        "rule, status",
+        [
+            ({"action": "error", "match": "victim"}, "error"),
+            ({"action": "wedge", "match": "victim"}, "timeout"),
+        ],
+        ids=["worker-error", "scheduler-timeout"],
+    )
+    def test_failed_result_is_not_replayed(self, tmp_path, rule, status):
+        server, sock_path = start_daemon(
+            tmp_path,
+            workers=1,
+            job_timeout=1.0,
+            fault_plan={"rules": [dict(rule, site="worker:job")]},
+        )
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            _, first = _run_one(client, _solve(job_id="victim"))
+            ack, second = _run_one(client, _solve(job_id="again"))
+        assert first.status == status
+        assert ack["coalesced"] is False
+        assert second.status == "ok"
+        assert "deduped_from" not in second.payload
+        assert server.scheduler.executed == 2
+        assert server.scheduler.replayed == 0
+
+    def test_retried_result_is_not_replayed(self, tmp_path):
+        # The worker dies on its second job; the retry runs on a fresh
+        # worker, whose counters restart, so it completes.
+        server, sock_path = start_daemon(
+            tmp_path,
+            workers=1,
+            retry_max=1,
+            retry_backoff_s=0.05,
+            fault_plan={
+                "rules": [
+                    {"site": "worker:job", "action": "kill", "nth": 2,
+                     "match": "victim"}
+                ]
+            },
+        )
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            _run_one(client, _solve("warm"))
+            _, first = _run_one(client, _solve(job_id="victim"))
+            ack, second = _run_one(client, _solve(job_id="again"))
+        assert (first.status, first.payload["found"]) == ("ok", True)
+        assert first.retries == 1
+        assert ack["coalesced"] is False
+        assert "deduped_from" not in second.payload
+        assert server.scheduler.replayed == 0
+
+    def test_key_covers_timeout_negation_and_backend(self, tmp_path):
+        server, sock_path = start_daemon(tmp_path)
+        variants = [
+            _solve(),
+            _solve(solver_timeout=1.5),
+            _solve(negate=True),
+            _solve(backend="native"),
+        ]
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            acks = [_run_one(client, spec)[0] for spec in variants]
+            assert [ack["coalesced"] for ack in acks] == [False] * 4
+            assert server.scheduler.executed == 4
+            # Each variant now replays its own answer.
+            for spec, ack in zip(variants, acks):
+                again, result = _run_one(client, spec)
+                assert again["coalesced"] is True
+                assert result.payload["deduped_from"] == ack["job_id"]
+        assert server.scheduler.executed == 4
+        assert server.scheduler.replayed == 4
+
+    def test_remote_flight_is_replayed_too(self, tmp_path):
+        server, sock_path = start_daemon(tmp_path, cluster=True)
+        start_worker(sock_path, capacity=1, worker_id="node-r")
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            first, _ = _run_one(client, _solve())
+            ack, result = _run_one(client, _solve())
+        assert ack["coalesced"] is True
+        assert result.payload["deduped_from"] == first["job_id"]
+        stats = server.scheduler.stats()
+        assert (stats["remote_dispatched"], stats["local_dispatched"]) == (
+            1, 0,
+        )
+        assert stats["singleflight_replayed"] == 1
+
+    def test_lru_evicts_least_recently_used_at_the_cap(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler, "REPLAY_CAP", 2)
+        server, sock_path = start_daemon(tmp_path)
+
+        def coalesced(client, pattern):
+            return _run_one(client, _solve(pattern))[0]["coalesced"]
+
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            for pattern in ("a1b", "a2b", "a3b"):
+                assert coalesced(client, pattern) is False
+            # a1b was evicted; a3b and a2b are replayed, in that order,
+            # so a2b becomes the most recently used.
+            assert coalesced(client, "a3b") is True
+            assert coalesced(client, "a2b") is True
+            assert coalesced(client, "a1b") is False  # evicts a3b
+            assert coalesced(client, "a2b") is True
+            assert coalesced(client, "a3b") is False
+        assert len(server.scheduler._replay) == 2
+        assert server.scheduler.replayed == 3
+
+    def test_disabled_single_flight_executes_every_submit(self, tmp_path):
+        server, sock_path = start_daemon(tmp_path, single_flight=False)
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            acks = [_run_one(client, _solve())[0] for _ in range(3)]
+        assert [ack["coalesced"] for ack in acks] == [False] * 3
+        assert server.scheduler.executed == 3
+        assert server.scheduler.replayed == 0
+
+    def test_replayed_gauge_is_mirrored(self, tmp_path):
+        server, sock_path = start_daemon(tmp_path)
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            for _ in range(2):
+                _run_one(client, _solve())
+        registry = metrics.MetricsRegistry()
+        previous = metrics.get_registry()
+        metrics.set_registry(registry)
+        try:
+            stats = server.server_stats()
+        finally:
+            metrics.set_registry(previous)
+        assert stats["singleflight_replayed"] == 1
+        snapshot = registry.snapshot()
+        assert validate_metrics_payload(snapshot) == []
+        [gauge] = snapshot["gauges"]["serve_singleflight_replayed"]
+        assert gauge["value"] == 1
 
 
 class TestFairness:
