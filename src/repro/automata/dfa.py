@@ -244,11 +244,18 @@ class Dfa:
         then under-approximates, which the solver compensates for with
         iterative deepening).  Used by the string solver to propose
         candidate assignments.
+
+        The generator returns ``True`` when the words it yielded are the
+        whole language: no live transition had more characters than it
+        sampled, the frontier never hit its cap, no live prefix was cut
+        at ``max_length`` and ``max_count`` did not stop it (see
+        :func:`word_list`).
         """
         emitted = 0
+        complete = True
         alive = self.live_states()
         if self.start not in alive:
-            return
+            return True
         # Frontier prefixes are tuples of characters, joined only when a
         # word is yielded — extending a string prefix per edge re-copies
         # the whole prefix for every sampled character (quadratic in the
@@ -258,25 +265,31 @@ class Dfa:
             yield ""
             emitted += 1
             if max_count is not None and emitted >= max_count:
-                return
+                return False
         for _ in range(max_length):
             next_frontier: List[Tuple[int, Tuple[str, ...]]] = []
             for state, prefix in frontier:
                 for label, target in self.transitions[state]:
                     if target not in alive:
                         continue
-                    for ch in label.sample_chars(samples_per_edge):
+                    chars = label.sample_chars(samples_per_edge)
+                    if complete and len(chars) < label.size():
+                        complete = False
+                    for ch in chars:
                         extended = prefix + (ch,)
                         if target in self.accepts:
                             yield "".join(extended)
                             emitted += 1
                             if max_count is not None and emitted >= max_count:
-                                return
+                                return False
                         if len(next_frontier) < frontier_cap:
                             next_frontier.append((target, extended))
+                        else:
+                            complete = False
             frontier = next_frontier
             if not frontier:
-                return
+                return complete
+        return False
 
     # -- minimization --------------------------------------------------------
 
@@ -429,3 +442,19 @@ def _product(left: Dfa, right: Dfa, combine) -> Dfa:
         accepts=accepts,
         transitions=transitions,
     )
+
+
+def word_list(
+    automaton, max_count: int, max_length: int
+) -> Tuple[List[str], bool]:
+    """The first ``max_count`` words of ``automaton.words`` (a
+    :class:`Dfa` or a lazy space) and whether they are its whole
+    language.  Only a complete list lets a failed search prove
+    anything."""
+    stream = automaton.words(max_count=max_count, max_length=max_length)
+    words: List[str] = []
+    while True:
+        try:
+            words.append(next(stream))
+        except StopIteration as stop:
+            return words, stop.value is True

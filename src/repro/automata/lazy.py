@@ -383,15 +383,16 @@ class _LazySpace:
         """Accepted words in non-decreasing length order.
 
         Same contract (length order, per-edge character sampling,
-        bounded frontier) as :meth:`Dfa.words`, run over the lazy
-        space.  The exact emptiness BFS runs first so a dead language
-        never pays the bounded unrolling.
+        bounded frontier, ``True`` returned for a complete list) as
+        :meth:`Dfa.words`, run over the lazy space.  The exact
+        emptiness BFS runs first so a dead language never pays the
+        bounded unrolling.
         """
         seen0 = len(self._seen)
         try:
-            yield from self._words(
+            return (yield from self._words(
                 max_count, max_length, samples_per_edge, frontier_cap
-            )
+            ))
         finally:
             self._record_exploration(seen0)
 
@@ -403,15 +404,16 @@ class _LazySpace:
         frontier_cap: int,
     ) -> Iterator[str]:
         if self.is_empty():
-            return
+            return True
         emitted = 0
+        complete = True
         frontier: List[Tuple[_State, Tuple[str, ...]]] = [(self.start, ())]
         self._seen.add(self.start)
         if self.is_accepting(self.start):
             yield ""
             emitted += 1
             if max_count is not None and emitted >= max_count:
-                return
+                return False
         # Frontier entries revisit states (and hence labels) at many
         # prefixes within one enumeration; sample each label once.
         samples: Dict[CharSet, List[str]] = {}
@@ -430,18 +432,23 @@ class _LazySpace:
                     if chars is None:
                         chars = label.sample_chars(samples_per_edge)
                         samples[label] = chars
+                    if complete and len(chars) < label.size():
+                        complete = False
                     for ch in chars:
                         extended = prefix + (ch,)
                         if accepting:
                             yield "".join(extended)
                             emitted += 1
                             if max_count is not None and emitted >= max_count:
-                                return
+                                return False
                         if len(next_frontier) < frontier_cap:
                             next_frontier.append((target, extended))
+                        else:
+                            complete = False
             frontier = next_frontier
             if not frontier:
-                return
+                return complete
+        return False
 
     # -- escape hatch --------------------------------------------------------
 

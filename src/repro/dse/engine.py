@@ -284,6 +284,7 @@ class DseEngine:
                     had_captures=any(
                         len(c.captures) > 1 for c in constraints
                     ),
+                    unknown_cause=raw.unknown_cause,
                     **{name: getattr(raw, name) for name in WORK_COUNTERS},
                 )
             )

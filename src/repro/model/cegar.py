@@ -37,6 +37,10 @@ from repro.regex.matcher import RegExp
 from repro.solver import Model, SAT, Solver, SolverStats, UNKNOWN, UNSAT
 from repro.solver.stats import WORK_COUNTERS, QueryRecord
 
+#: The cause of an UNKNOWN whose models kept failing validation past
+#: the refinement limit.
+REFINEMENT_LIMIT = "refinement_limit"
+
 
 @dataclass
 class CapturingConstraint:
@@ -70,6 +74,9 @@ class CegarResult:
     model: Optional[Model] = None
     refinements: int = 0
     hit_limit: bool = False
+    #: Why an UNKNOWN is one: the last solve's cause, or
+    #: ``refinement_limit``.
+    unknown_cause: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.status == SAT
@@ -173,7 +180,8 @@ class CegarSolver:
                         solve_span.set(**{key: iter_span.attrs[key]})
                 if solved.status != SAT:
                     result = CegarResult(
-                        solved.status, None, refinements, False
+                        solved.status, None, refinements, False,
+                        solved.unknown_cause,
                     )
                     break
 
@@ -193,7 +201,9 @@ class CegarSolver:
                     break
                 refinements += 1
                 if refinements > self.refinement_limit:
-                    result = CegarResult(UNKNOWN, None, refinements, True)
+                    result = CegarResult(
+                        UNKNOWN, None, refinements, True, REFINEMENT_LIMIT
+                    )
                     break
             solve_span.set(
                 status=result.status,
@@ -210,6 +220,7 @@ class CegarSolver:
                     had_captures=had_captures,
                     refinements=refinements,
                     hit_refinement_limit=result.hit_limit,
+                    unknown_cause=result.unknown_cause,
                     **work,
                 )
             )

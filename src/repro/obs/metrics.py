@@ -8,6 +8,12 @@ enabled, ``stats.py`` and the automata layer mirror each recorded
 delta into labeled metrics; when disabled, the module-level helpers
 cost one global load and a comparison.
 
+``solver_unknown_total{cause}`` counts UNKNOWN solver queries by the
+cause they stopped on (``budget``, ``timeout``, ``candidates``,
+``split_cap``, ``settle_depth``, ``max_cores``, ``default_guess``,
+``refinement_limit``, or ``backend`` for an external solver that names
+none); :meth:`SolverStats.record` feeds it.
+
 Snapshots are JSON-shaped (the ``/stats`` surface of a future serve
 daemon) and *mergeable*: worker processes ship their registry snapshot
 through the trace spool at each job boundary, and the runner folds the

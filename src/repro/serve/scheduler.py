@@ -25,13 +25,16 @@ structures need no locks.
   whole daemon: duplicates coalesce *across* clients and arrival
   times, closing the ROADMAP's deferred in-flight-dedup item.  A
   finished flight whose result the job class calls
-  :meth:`~repro.service.jobs._JobBase.replayable` (a found solve word,
-  already checked against the concrete matcher by CEGAR, reached
-  without a retry) stays in a bounded LRU of ``REPLAY_CAP`` keys, so a
-  later duplicate is answered from it without a queue slot, a dispatch
-  or a worker.  Not-found (UNSAT or UNKNOWN), failed, timed-out,
-  retried and quarantined results are never replayed, nor are analyze
-  and fuzz jobs: the next duplicate executes again.
+  :meth:`~repro.service.jobs._JobBase.replayable` (a settled solve
+  verdict reached without a retry: a found word, already checked
+  against the concrete matcher by CEGAR, an UNSAT, or an UNKNOWN that
+  ran out of its work budget, which the dedup key's ``solver_timeout``
+  fixes) stays in a bounded LRU of ``REPLAY_CAP`` keys, so a later
+  duplicate is answered from it without a queue slot, a dispatch or a
+  worker.  An UNKNOWN the solver's wall-clock backstop ended, and
+  failed, timed-out, retried and quarantined results are never
+  replayed, nor are analyze and fuzz jobs: the next duplicate executes
+  again.
 - **Cluster dispatch (optional).**  With a
   :class:`~repro.cluster.coordinator.ClusterCoordinator` attached, a
   dispatch first offers the job to a ready remote worker under an

@@ -196,7 +196,7 @@ class _RecordingFactory:
         return sum(getattr(s, "misses", 0) for s in self._instances)
 
 
-@dataclass
+@dataclass(slots=True)
 class JobResult:
     """Outcome of one job, JSON-shaped for aggregation and transport."""
 
@@ -219,21 +219,36 @@ class JobResult:
     def from_spec(cls, spec: dict) -> "JobResult":
         """Rebuild a result from :meth:`to_spec` output.
 
-        Payload keys are interned: every decoded frame would otherwise
-        hold its own copies of the same few key strings, and a client
-        keeping thousands of results pays for them all.
+        Payload keys, ``kind``, ``status`` and short string values are
+        interned: every decoded frame would otherwise hold its own
+        copies of the same few strings, and a client keeping thousands
+        of results pays for them all.
         """
+        spec = dict(spec, kind=_interned(spec["kind"]),
+                    status=_interned(spec["status"]))
         payload = spec.get("payload")
         if payload:
-            spec = dict(spec, payload=_interned_keys(payload))
+            spec["payload"] = _interned_payload(payload)
         return cls(**spec)
 
 
-def _interned_keys(mapping: dict) -> dict:
-    """``mapping`` with its string keys interned, nested dicts too."""
+#: String payload values up to this length are interned on decoding.
+_INTERN_MAX = 64
+
+
+def _interned(value):
+    if type(value) is str and len(value) <= _INTERN_MAX:
+        return sys.intern(value)
+    return value
+
+
+def _interned_payload(mapping: dict) -> dict:
+    """``mapping`` with its string keys and short string values
+    interned, nested dicts too."""
     return {
         (sys.intern(key) if type(key) is str else key): (
-            _interned_keys(value) if isinstance(value, dict) else value
+            _interned_payload(value) if isinstance(value, dict)
+            else _interned(value)
         )
         for key, value in mapping.items()
     }
@@ -418,6 +433,7 @@ class AnalyzeJob(_JobBase):
             "concat_refuted": result.stats.concat_refuted(),
             "prefixes_refuted": result.stats.prefixes_refuted(),
             "literals_ingested": result.stats.literals_ingested(),
+            "unknown_causes": result.stats.unknown_causes(),
             "refined_queries": len(refined),
             "sum_refinements": sum(q.refinements for q in refined),
         }
@@ -467,13 +483,15 @@ class SolveJob(_JobBase):
         )
 
     def replayable(self, result: JobResult) -> bool:
-        """A found word only: CEGAR checked it against the concrete
-        matcher.  Not-found results (UNSAT or UNKNOWN) are left out, as
-        UNKNOWN depends on machine load, and so are results that needed
-        a retry."""
+        """A settled verdict only: a found word (CEGAR checked it
+        against the concrete matcher), UNSAT, or an UNKNOWN that ran out
+        of its work budget or another bound of the solver, all fixed by
+        the query and by :meth:`dedup_key`'s ``solver_timeout``.  An
+        UNKNOWN the wall-clock backstop ended depends on machine load
+        and is left out, and so are results that needed a retry."""
         return (
             result.status == "ok"
-            and result.payload.get("found") is True
+            and result.payload.get("settled") is True
             and result.retries == 0
         )
 
@@ -532,6 +550,11 @@ class SolveJob(_JobBase):
                 payload["captures"] = {
                     str(i): v for i, v in captures.items()
                 }
+        # One CEGAR run, so one record: its verdict's.
+        payload["settled"] = all(q.settled for q in stats.queries)
+        unknown_causes = stats.unknown_causes()
+        if unknown_causes:
+            payload["unknown_causes"] = unknown_causes
         payload["solver_queries"] = len(stats.queries)
         payload["solver_seconds"] = stats.total_time()
         payload["concat_refuted"] = stats.concat_refuted()

@@ -165,6 +165,7 @@ def merge_analyze(results: Sequence[JobResult]) -> dict:
         "literals_ingested": sum(
             p.get("literals_ingested", 0) for p in payloads
         ),
+        "unknown_causes": merge_unknown_causes(payloads),
         "refined_queries": refined,
         "mean_refinements": refinements / refined if refined else 0.0,
         "wall_time": sum(p["wall_time"] for p in payloads),
@@ -229,7 +230,26 @@ def merge_solve(results: Sequence[JobResult]) -> dict:
         "literals_ingested": sum(
             r.payload.get("literals_ingested", 0) for r in ok
         ),
+        "unknown_causes": merge_unknown_causes([r.payload for r in ok]),
     }
+
+
+def merge_unknown_causes(payloads: Sequence[dict]) -> Dict[str, int]:
+    """Sum the payloads' UNKNOWN solver queries per cause."""
+    causes: Dict[str, int] = {}
+    for payload in payloads:
+        for cause, count in (payload.get("unknown_causes") or {}).items():
+            causes[cause] = causes.get(cause, 0) + count
+    return dict(sorted(causes.items()))
+
+
+def format_unknown_causes(causes: Dict[str, int]) -> str:
+    """``"; unknown: budget 3, timeout 1"``, or ``""`` for none."""
+    if not causes:
+        return ""
+    return "; unknown: " + ", ".join(
+        f"{cause} {count}" for cause, count in causes.items()
+    )
 
 
 # -- fuzz merge ---------------------------------------------------------------
@@ -570,6 +590,7 @@ def format_batch_report(report: BatchReport) -> str:
             f"(cores and prefixes), "
             f"{merged['prefixes_refuted']} prefixes refuted, "
             f"{merged['literals_ingested']} literals ingested"
+            + format_unknown_causes(merged["unknown_causes"])
         )
 
     solve = report.of_kind("solve")
@@ -585,6 +606,7 @@ def format_batch_report(report: BatchReport) -> str:
             f"(cores and prefixes), "
             f"{merged['prefixes_refuted']} prefixes refuted, "
             f"{merged['literals_ingested']} literals ingested"
+            + format_unknown_causes(merged["unknown_causes"])
         )
 
     fuzz = report.of_kind("fuzz")

@@ -891,38 +891,39 @@ def _coalesce(
     return unique, assignment
 
 
+#: Payload keys that count a job's own work; a replayed copy drops them.
+_WORK_KEYS = frozenset((
+    "solver_queries", "solver_seconds", "concat_refuted",
+    "prefixes_refuted", "literals_ingested", "unknown_causes",
+    "refinements", "refined_queries", "sum_refinements",
+    "backend_tallies", "session_tallies", "route_tallies",
+    "automata_cache",
+))
+
+
 def replay_result(
     job: _JobBase, rep_job: _JobBase, rep_result: JobResult
 ) -> JobResult:
     """The result a coalesced job replays from its representative.
 
     A copy of the representative's result with the coalesced job's own
-    ``job_id``, zeroed work counters (it performed no solves of its own
-    — that is the point), and a ``deduped_from`` marker so the report
-    can tell replayed results from executed ones.  Shared by the batch
-    scheduler's dedup fan-out and the serve daemon's cross-client
-    single-flight table.
+    ``job_id``, without work counters and tallies (it performed no
+    solves of its own — that is the point; readers default them to
+    zero), and a ``deduped_from`` marker so the report can tell replayed
+    results from executed ones.  Shared by the batch scheduler's dedup
+    fan-out and the serve daemon's cross-client single-flight table.
     """
-    payload = dict(rep_result.payload)
+    payload = {
+        key: value
+        for key, value in rep_result.payload.items()
+        if key not in _WORK_KEYS
+    }
     payload["deduped_from"] = rep_job.job_id
     if "name" in payload:
         # Analyze payloads carry a display name derived from the
         # job's own path; a replayed copy must not keep the
         # representative's (reports would list one program twice).
         payload["name"] = getattr(job, "path", None) or job.job_id
-    for zeroed, value in (
-        ("solver_queries", 0),
-        ("solver_seconds", 0.0),
-        ("concat_refuted", 0),
-        ("prefixes_refuted", 0),
-        ("literals_ingested", 0),
-        ("backend_tallies", {}),
-        ("session_tallies", {}),
-        ("route_tallies", {}),
-        ("automata_cache", {}),
-    ):
-        if zeroed in payload:
-            payload[zeroed] = value
     return JobResult(
         job_id=job.job_id,
         kind=rep_result.kind,

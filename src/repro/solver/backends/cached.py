@@ -19,10 +19,14 @@ Soundness rules:
   definitive for every backend in this package by construction (an
   SMT-LIB subprocess SAT is re-validated natively before it is
   returned, and its UNSAT comes from the exact guarded encoding);
-- ``UNKNOWN`` is *never* cached: it depends on the budget/timeout of the
-  producing backend, so replaying it for another query (or another
-  backend configuration) could turn a solvable query into a permanent
-  unknown.
+- ``UNKNOWN`` is *never* cached.  The native solver's UNKNOWN for any
+  cause but ``timeout`` is a function of the formula and the work
+  budget, and the serve daemon replays it for the daemon's lifetime
+  (``SolveJob.replayable``).  A store entry, though, outlives the
+  process: the budget it was reached under is not in the key, the
+  candidate order follows the string hash seed, and another backend
+  configuration may decide the query.  Replaying it could turn a
+  solvable query into a permanent unknown.
 
 The decorator :class:`CachedBackend` is what the ``cached:<inner>``
 spec resolves to; ``QUERY_CODEC`` is the query kind's entry format in a

@@ -13,11 +13,11 @@ membership/non-membership.  This solver decides that fragment *bounded-ly*:
    (:meth:`_Core.refuted`).  A refuted one is skipped with every core
    that extends it.  This is sound because conjunction is monotone: a
    set of literals without a common model has none once more literals
-   join it.  Past the query deadline the enumeration stops pruning but
-   never ends early, so a timeout reads UNKNOWN, not "every core
-   refuted".  On the ``fuzz`` benchmark (2-core box) the pruning took
-   the undecided checks from 58 to about 10 per pass and ``wall_s``
-   from ~7.8 s to ~3.2 s.
+   join it.  Once the query's :class:`Budget` is exhausted the
+   enumeration stops pruning but never ends early, so running out reads
+   UNKNOWN, not "every core refuted".  On the ``fuzz`` benchmark
+   (2-core box) the pruning took the undecided checks from 58 to about
+   10 per pass and ``wall_s`` from ~7.8 s to ~3.2 s.
    The structural phase is incremental along this depth-first
    expansion.  One :class:`_Core` carries the ingested state (union-find,
    constants, ⊥, definitions, splits, memberships, exclusions, checks)
@@ -57,8 +57,11 @@ membership/non-membership.  This solver decides that fragment *bounded-ly*:
 4. candidate generation for *free* classes by length-ordered word
    enumeration from their automata (then ⊥, for a class no literal
    forces to be a string), with iterative deepening, followed by
-   settling defined classes and splits (under the query deadline) and
-   full re-checking of every literal.
+   settling defined classes and splits and full re-checking of every
+   literal.  The whole query spends from one :class:`Budget` of work
+   units, ``timeout × UNITS_PER_SECOND``; ``timeout`` itself stays as a
+   wall-clock backstop.  A query that runs out of units stops at the
+   same point on every run, whatever the load of the machine.
 
 Like any string solver on an undecidable theory (§5.3 cites Bjørner et
 al.), the search is bounded: ``UNKNOWN`` is a possible answer.  ``UNSAT``
@@ -67,7 +70,10 @@ is reported only when every core is refuted *definitively* — structurally
 complete enumeration (every candidate list finite and fully covered, and
 no class left to a default value).
 Budget exhaustion alone always yields ``UNKNOWN``, which keeps DSE's use
-of unsatisfiability sound.
+of unsatisfiability sound.  Every ``UNKNOWN`` names its cause
+(:attr:`SolverResult.unknown_cause`): only ``timeout``, the backstop,
+depends on the wall clock; the others are a function of the formula and
+the budget.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ from repro.automata import (
     lazy_union_all,
 )
 from repro.automata.build import erase_captures
-from repro.automata.dfa import Dfa
+from repro.automata.dfa import Dfa, word_list
 from repro.automata.lazy import expression_is_empty
 from repro.constraints.printer import canonical_regex
 from repro.regex import ast as regex_ast
@@ -124,6 +130,30 @@ UNKNOWN = "unknown"
 #: core's memo tables hold at most this many entries.
 CORE_MEMO_CAP = 1 << 16
 
+#: Work units a query may spend per second of its ``timeout`` (see
+#: :class:`Budget`).  On the ``table7``, ``fuzz`` and ``serve``
+#: benchmarks (2-core box) every decided query spent at most ~14,500
+#: units, under 0.6 of the smallest budget (25,000 at a 0.1 s timeout);
+#: the undecided ``table7`` queries reach ~400,000 units within their
+#: 0.5 s and the two undecided ``serve`` literals ~45,000 within 0.1 s,
+#: so they run out of units well before the wall-clock backstop.
+UNITS_PER_SECOND = 250_000
+
+#: Why a query answered UNKNOWN (:attr:`SolverResult.unknown_cause`):
+#: its work budget ran out; the wall-clock backstop fired first; a
+#: core's candidate product passed ``combo_budget``; a split
+#: enumeration passed ``split_cap``; settling backtracked past its
+#: depth; a round enumerated more than ``max_cores`` cores; or a
+#: candidate list or a settled class was a guess, not an enumeration
+#: (``default_guess``).  ``refinement_limit`` is the CEGAR loop's.
+BUDGET = "budget"
+TIMEOUT = "timeout"
+CANDIDATES = "candidates"
+SPLIT_CAP = "split_cap"
+SETTLE_DEPTH = "settle_depth"
+MAX_CORES = "max_cores"
+DEFAULT_GUESS = "default_guess"
+
 
 @dataclass
 class SolverResult:
@@ -143,9 +173,46 @@ class SolverResult:
     #: Literals taken into the query's incremental state: each one a
     #: conjunction shares with the previously judged one is not counted.
     literals_ingested: int = 0
+    #: Work units spent from the query's :class:`Budget`.
+    units: int = 0
+    #: Why the answer is UNKNOWN (one of the cause names above);
+    #: ``None`` for SAT and UNSAT, and for a backend that names none.
+    unknown_cause: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.status == SAT
+
+
+class Budget:
+    """One query's allowance of work units, with wall time as a backstop.
+
+    The solver charges a unit per core or prefix judged, literal
+    ingested, eight trail entries undone, restamp
+    (:meth:`_Core._touch`), DFS assignment, settle step and split step,
+    and one per character of each membership test on a candidate word.  :meth:`exhausted` is
+    asked wherever the search may stop.  Units are a function of the
+    work done, so a query that runs out of them stops at the same point
+    on every run; only when ``timeout`` seconds pass first does the
+    cause read ``timeout``, which depends on the machine's load.
+    """
+
+    __slots__ = ("allowance", "spent", "deadline", "cause")
+
+    def __init__(self, timeout: float):
+        self.allowance = int(timeout * UNITS_PER_SECOND)
+        self.spent = 0
+        self.deadline = time.monotonic() + timeout
+        #: :data:`BUDGET` or :data:`TIMEOUT` once :meth:`exhausted` has
+        #: said so; it then says so for the rest of the query.
+        self.cause: Optional[str] = None
+
+    def exhausted(self) -> bool:
+        if self.cause is None:
+            if self.spent > self.allowance:
+                self.cause = BUDGET
+            elif time.monotonic() > self.deadline:
+                self.cause = TIMEOUT
+        return self.cause is not None
 
 
 class _UnsatCore(Exception):
@@ -245,12 +312,17 @@ class _Core:
         self._regexes: Dict[int, object] = {}
         #: Class rep → lazy/eager constraint automaton (or ``None``).
         self._split_dfa_cache: Dict[StrVar, Optional[object]] = {}
+        #: The budget the current query spends from (the core is popped
+        #: per query, so no two threads share one).
+        self.budget = Budget(solver.timeout)
         #: Set when upward propagation refuted the last conjunction.
         self.concat_refuted = False
-        #: Cleared when settling guessed: it gave undetermined classes
-        #: their default, capped a split enumeration or stopped
+        #: The cause, once settling guessed: it gave undetermined
+        #: classes their default, capped a split enumeration or stopped
         #: backtracking.  A search that found nothing then proves nothing.
-        self.settle_complete = True
+        self.settle_guess: Optional[str] = None
+        #: Why the last :meth:`solve` answered UNKNOWN.
+        self.unknown_cause: Optional[str] = None
         #: Set when the last :meth:`solve` was answered by the
         #: structural phase.
         self.structurally_refuted = False
@@ -279,6 +351,7 @@ class _Core:
         the same stamps and hits the same memoized facts.  A ``change``
         no memo reads (hints, quotients) is a new ``object()``."""
         stamps, trail = self._stamps, self._trail
+        self.budget.spent += 1
         touched = set()
         work = [(cls, change)]
         while work:
@@ -333,6 +406,9 @@ class _Core:
     def _undo(self, mark: int) -> None:
         """Restore the state from when the trail had ``mark`` records."""
         trail = self._trail
+        # An entry undone is a field write, far cheaper than the steps
+        # a unit stands for elsewhere: eight of them make one unit.
+        self.budget.spent += (len(trail) - mark + 7) // 8
         for record in reversed(trail[mark:]):
             kind = record[0]
             if kind == _ASSIGN:
@@ -369,6 +445,7 @@ class _Core:
             self._marks.append(len(self._trail))
             ingested.append(literal)
             self.literals_ingested += 1
+            self.budget.spent += 1
             try:
                 self._ingest(literal)
             except _UnsatCore:
@@ -689,7 +766,7 @@ class _Core:
         """Run the structural phase on ``literals``; ``True`` when it
         refutes them.
 
-        The phase needs no candidate search and no deadline, and its
+        The phase needs no candidate search and no budget check, and its
         refutations are sound: a refuted conjunction has no model, and
         neither has any superset of its literals (the prefix pruning of
         :func:`_enumerate_cores`)."""
@@ -738,28 +815,31 @@ class _Core:
     # -- search ----------------------------------------------------------------
 
     def solve(
-        self, literals: Sequence[Formula], deadline: float, limit: int
+        self, literals: Sequence[Formula], budget: Budget, limit: int
     ) -> Tuple[str, Optional[Model]]:
-        """Solve the core ``literals`` with one per-class candidate ``limit``.
+        """Solve the core ``literals`` with one per-class candidate
+        ``limit``, spending from the query's ``budget``.
 
         Iterative deepening lives in :meth:`Solver.solve` (outer loop over
         limits, inner loop over cores) so a single expensive core cannot
         starve the others.  :attr:`structurally_refuted` tells whether an
         UNSAT came from the structural phase, which no deeper round can
-        change."""
+        change, and :attr:`unknown_cause` why an UNKNOWN is one."""
+        self.budget = budget
         self.concat_refuted = False
-        self.settle_complete = True
+        self.settle_guess = None
+        self.unknown_cause = None
         self.structurally_refuted = True
         self._split_dfa_cache = {}
         if not self._load(literals):
             return UNSAT, None
         mark = len(self._trail)
         try:
-            return self._solve(deadline, limit)
+            return self._solve(limit)
         finally:
             self._undo(mark)
 
-    def _solve(self, deadline: float, limit: int) -> Tuple[str, Optional[Model]]:
+    def _solve(self, limit: int) -> Tuple[str, Optional[Model]]:
         try:
             free, defined = self._structure(search=True)
         except _UnsatCore:
@@ -832,16 +912,7 @@ class _Core:
             )
         )
 
-        status, model, exhaustive = self._search(
-            free, defined, automata, undefinable, limit, deadline
-        )
-        if status == SAT:
-            return SAT, model
-        if exhaustive:
-            # Every candidate list was a complete enumeration and the
-            # DFS covered the whole product: definitive UNSAT.
-            return UNSAT, None
-        return UNKNOWN, None
+        return self._search(free, defined, automata, undefinable, limit)
 
     def _check_const_class(self, cls: _Class) -> None:
         if cls.stamp in self._consts_ok:
@@ -1136,8 +1207,11 @@ class _Core:
         automata: Dict[StrVar, Optional[object]],
         undefinable: set,
         limit: int,
-        deadline: float,
-    ) -> Tuple[str, Optional[Model], bool]:
+    ) -> Tuple[str, Optional[Model]]:
+        """DFS over the free classes' candidate lists, settling each
+        leaf.  UNSAT only when every list was a complete enumeration and
+        the DFS covered the whole product without guessing."""
+        budget = self.budget
         candidate_lists: List[List[str]] = []
         exhaustive = True
         for cls in free:
@@ -1146,27 +1220,25 @@ class _Core:
                 words = self.solver.default_words(limit)
                 complete = False
             else:
-                words = list(
-                    dfa.words(
-                        max_count=limit + 1,
-                        max_length=self.solver.max_word_length,
-                    )
+                words, complete = word_list(
+                    dfa, limit + 1, self.solver.max_word_length
                 )
-                complete = len(words) <= limit and not any(
-                    len(word) >= self.solver.max_word_length for word in words
-                )
+                complete = complete and len(words) <= limit
                 words = words[:limit]
             if cls.hints:
                 # Hints follow the length-ordered candidates: they widen
                 # the pool (e.g. constants a concatenation must hit) but
                 # must not displace fresh short words, or refinement
                 # exclusions would ladder through ever-longer hints.
-                hinted = [
-                    hint
-                    for hint in sorted(cls.hints, key=lambda h: (len(h), h))
-                    if hint not in words
-                    and (dfa is None or dfa.accepts_word(hint))
-                ]
+                hinted = []
+                for hint in sorted(cls.hints, key=lambda h: (len(h), h)):
+                    if hint in words:
+                        continue
+                    if dfa is not None:
+                        budget.spent += len(hint)
+                        if not dfa.accepts_word(hint):
+                            continue
+                    hinted.append(hint)
                 words = words + hinted
             words = [word for word in words if word not in cls.excluded]
             if cls.rep in undefinable:
@@ -1174,8 +1246,9 @@ class _Core:
             exhaustive = exhaustive and complete
             if not words:
                 if complete:
-                    return UNSAT, None, True  # finite language fully excluded
-                return UNKNOWN, None, False
+                    return UNSAT, None  # finite language fully excluded
+                self.unknown_cause = DEFAULT_GUESS
+                return UNKNOWN, None
             candidate_lists.append(words)
 
         # A variable that occurs only in checks (a disequality, a
@@ -1188,7 +1261,7 @@ class _Core:
             for var in _formula_vars(literal)
         ):
             exhaustive = False
-        budget = self.solver.combo_budget
+        combo_budget = self.solver.combo_budget
         tried = 0
         order = free
 
@@ -1199,19 +1272,20 @@ class _Core:
 
         def assign(index: int, model: Model) -> Optional[Model]:
             nonlocal tried
-            if time.monotonic() > deadline:
+            if budget.exhausted():
                 return None
             if index == len(order):
-                return self._settle(model, defined, deadline)
+                return self._settle(model, defined)
             for word in candidate_lists[index]:
                 tried += 1
-                if tried > budget:
+                budget.spent += 1
+                if tried > combo_budget:
                     return None
                 trial = model.copy()
                 for member in order[index].members:
                     trial.set(member, word)
                 if all(
-                    _holds(check, trial)
+                    _holds(check, trial, budget)
                     for check in checks_by_level.get(index, ())
                 ):
                     result = assign(index + 1, trial)
@@ -1231,16 +1305,20 @@ class _Core:
         found = assign(0, base)
         self.solver._candidates_tried += tried
         if found is not None:
-            return SAT, found, False
-        if (
-            tried > budget
-            or time.monotonic() > deadline
-            or not self.settle_complete
-        ):
-            return UNKNOWN, None, False
-        # The DFS covered the whole candidate product; the round is only
-        # *definitive* if every candidate list was a complete enumeration.
-        return (UNSAT, None, True) if exhaustive else (UNKNOWN, None, False)
+            return SAT, found
+        if budget.exhausted():
+            self.unknown_cause = budget.cause
+        elif tried > combo_budget:
+            self.unknown_cause = CANDIDATES
+        elif self.settle_guess is not None:
+            self.unknown_cause = self.settle_guess
+        elif not exhaustive:
+            self.unknown_cause = DEFAULT_GUESS
+        else:
+            # The DFS covered the whole candidate product and every
+            # candidate list was a complete enumeration: definitive.
+            return UNSAT, None
+        return UNKNOWN, None
 
     def _schedule_checks(
         self, order: List[_Class]
@@ -1274,16 +1352,16 @@ class _Core:
 
     # -- settling: defined classes + split constraints -------------------------
 
-    def _settle(
-        self, model: Model, defined: List[_Class], deadline: float
-    ) -> Optional[Model]:
+    def _settle(self, model: Model, defined: List[_Class]) -> Optional[Model]:
         """Complete a partial assignment: compute defined classes, solve
         split constraints (with backtracking over splits), then verify
-        every literal.  ``None`` once ``deadline`` has passed: the
+        every literal.  ``None`` once the budget is exhausted: the
         search then reports UNKNOWN, never UNSAT."""
-        return self._settle_rec(
-            model, list(defined), list(self.splits), 0, deadline
-        )
+        return self._settle_rec(model, list(defined), list(self.splits), 0)
+
+    def _guessed(self, cause: str) -> None:
+        if self.settle_guess is None:
+            self.settle_guess = cause
 
     def _settle_rec(
         self,
@@ -1291,12 +1369,12 @@ class _Core:
         pending_defined: List[_Class],
         pending_splits: List[Tuple[StrVar, Tuple[Term, ...]]],
         depth: int,
-        deadline: float,
     ) -> Optional[Model]:
         if depth > 16:  # backtracking safety valve
-            self.settle_complete = False
+            self._guessed(SETTLE_DEPTH)
             return None
-        if time.monotonic() > deadline:
+        self.budget.spent += 1
+        if self.budget.exhausted():
             return None
         # Fixpoint: compute defined classes whose parts are all known.
         # A defined class whose *own* value arrived first (via an outer
@@ -1307,6 +1385,7 @@ class _Core:
         pending_splits = list(pending_splits)
         while progress:
             progress = False
+            self.budget.spent += len(pending_defined)
             for cls in list(pending_defined):
                 if cls.rep in model:
                     pending_defined.remove(cls)
@@ -1323,7 +1402,7 @@ class _Core:
 
         if not pending_splits:
             if pending_defined:
-                self.settle_complete = False
+                self._guessed(DEFAULT_GUESS)
             for cls in pending_defined:
                 # Unresolvable dependencies: fall back to defaults ("").
                 if not self._apply_class_value(
@@ -1347,19 +1426,17 @@ class _Core:
                 return None
             remaining = pending_splits[:i] + pending_splits[i + 1:]
             emitted = 0
-            for assignment in self._enumerate_splits(
-                value, parts, model, deadline
-            ):
+            for assignment in self._enumerate_splits(value, parts, model):
                 emitted += 1
                 if emitted > self.solver.split_cap:
-                    self.settle_complete = False
+                    self._guessed(SPLIT_CAP)
                     break
                 trial = model.copy()
                 for rep, word in assignment.items():
                     for member in self._class(rep).members:
                         trial.set(member, word)
                 result = self._settle_rec(
-                    trial, pending_defined, remaining, depth + 1, deadline
+                    trial, pending_defined, remaining, depth + 1
                 )
                 if result is not None:
                     return result
@@ -1367,7 +1444,7 @@ class _Core:
 
         # No split target is determined (cyclic structure): give leftover
         # parts their defaults and verify.
-        self.settle_complete = False
+        self._guessed(DEFAULT_GUESS)
         return self._verify(model)
 
     def _evaluable(self, term: Term, model: Model) -> bool:
@@ -1388,9 +1465,11 @@ class _Core:
         if value in cls.excluded:
             return False
         for regex in cls.pos_regexes:
+            self.budget.spent += len(value)
             if not dfa_for(regex).accepts_word(value):
                 return False
         for regex in cls.neg_regexes:
+            self.budget.spent += len(value)
             if dfa_for(regex).accepts_word(value):
                 return False
         for member in cls.members:
@@ -1402,12 +1481,12 @@ class _Core:
         value: str,
         parts: Tuple[Term, ...],
         model: Model,
-        deadline: float,
     ) -> Iterator[Dict[StrVar, str]]:
         """All ways to write ``value`` as the concatenation of ``parts``,
         respecting constants, prior assignments, per-class automata and
         exclusions.  Yields {class-rep: substring} assignments, and
-        stops early once ``deadline`` has passed."""
+        stops early once the budget is exhausted."""
+        budget = self.budget
 
         def part_dfa(rep: StrVar) -> Optional[object]:
             if rep not in self._split_dfa_cache:
@@ -1419,6 +1498,7 @@ class _Core:
         def rec(
             pos: int, idx: int, chosen: Dict[StrVar, str]
         ) -> Iterator[Dict[StrVar, str]]:
+            budget.spent += 1
             if idx == len(parts):
                 if pos == len(value):
                     yield dict(chosen)
@@ -1445,13 +1525,16 @@ class _Core:
                 return
             dfa = part_dfa(rep)
             for end in range(pos, len(value) + 1):
-                if time.monotonic() > deadline:
+                budget.spent += 1
+                if budget.exhausted():
                     return
                 sub = value[pos:end]
                 if sub in cls.excluded:
                     continue
-                if dfa is not None and not dfa.accepts_word(sub):
-                    continue
+                if dfa is not None:
+                    budget.spent += len(sub)
+                    if not dfa.accepts_word(sub):
+                        continue
                 chosen[rep] = sub
                 yield from rec(end, idx + 1, chosen)
                 del chosen[rep]
@@ -1460,10 +1543,10 @@ class _Core:
 
     def _verify(self, model: Model) -> Optional[Model]:
         for literal in self.literals:
-            if not _holds(literal, model):
+            if not _holds(literal, model, self.budget):
                 return None
         for check in self.checks:
-            if not _holds(check, model):
+            if not _holds(check, model, self.budget):
                 return None
         return model
 
@@ -1579,16 +1662,19 @@ def _to_term(parts: Iterable[Term]) -> Term:
     return Concat(parts)
 
 
-def _holds(formula: Formula, model: Model) -> bool:
-    """Evaluate a (NNF) formula under a total assignment."""
+def _holds(
+    formula: Formula, model: Model, budget: Optional[Budget] = None
+) -> bool:
+    """Evaluate a (NNF) formula under a total assignment, charging each
+    membership test's characters to ``budget``."""
     if isinstance(formula, BoolLit):
         return formula.value
     if isinstance(formula, Not):
-        return not _holds(formula.operand, model)
+        return not _holds(formula.operand, model, budget)
     if isinstance(formula, And):
-        return all(_holds(op, model) for op in formula.operands)
+        return all(_holds(op, model, budget) for op in formula.operands)
     if isinstance(formula, Or):
-        return any(_holds(op, model) for op in formula.operands)
+        return any(_holds(op, model, budget) for op in formula.operands)
     if isinstance(formula, Eq):
         try:
             return model.eval_term(formula.left) == model.eval_term(
@@ -1603,6 +1689,8 @@ def _holds(formula: Formula, model: Model) -> bool:
             return False
         if value is UNDEF:
             return False
+        if budget is not None:
+            budget.spent += len(value)
         return dfa_for(formula.regex).accepts_word(value)
     raise TypeError(f"cannot evaluate {formula!r}")
 
@@ -1612,7 +1700,9 @@ class Solver:
 
     Parameters bound the search: ``round_limits`` are per-class candidate
     counts for iterative deepening, ``combo_budget`` caps assignments per
-    core, and ``timeout`` caps wall-clock time per query.
+    core, and ``timeout`` sizes each query's :class:`Budget`
+    (``timeout × UNITS_PER_SECOND`` work units) and caps its wall-clock
+    time as a backstop.
     """
 
     def __init__(
@@ -1658,9 +1748,10 @@ class Solver:
         share with the previous one (the previous query's, for the
         first).  Verdicts on partial conjunctions, and leaves the
         structural phase refuted, are kept across rounds, so each is
-        judged (and counted) once."""
+        judged (and counted) once.  Every step spends from one
+        :class:`Budget`; an UNKNOWN names the cause it stopped on."""
         start = time.perf_counter()
-        deadline = time.monotonic() + self.timeout
+        budget = Budget(self.timeout)
         self._candidates_tried = 0
         concat_refuted = 0
         prefix_verdicts: Dict[Tuple[int, ...], bool] = {}
@@ -1675,18 +1766,20 @@ class Solver:
         except IndexError:
             core = _Core(self)
         core.start_query()
+        core.budget = budget
         ingested = core.literals_ingested
 
         def refuted(choices: Tuple[int, ...], literals: List[Formula]) -> bool:
             nonlocal concat_refuted
             verdict = prefix_verdicts.get(choices)
             if verdict is None:
-                if time.monotonic() > deadline:
+                if budget.exhausted():
                     # Stop pruning, never stop enumerating: the next core
-                    # reaches the deadline check below, which answers
+                    # reaches the budget check below, which answers
                     # UNKNOWN.  Ending the enumeration here would read as
                     # "every core refuted".
                     return False
+                budget.spent += 1
                 verdict = prefix_verdicts[choices] = core.refuted(literals)
                 concat_refuted += core.concat_refuted
             return verdict
@@ -1694,16 +1787,20 @@ class Solver:
         nnf = to_nnf(formula)
         cores_tried = 0
         saw_unknown = False
+        cause: Optional[str] = None
         status = UNSAT
         model = None
         for round_index, limit in enumerate(self.round_limits):
             saw_unknown = False
+            cause = None
             round_cores = 0
             for literals in _enumerate_cores(nnf, refuted):
                 round_cores += 1
                 cores_tried += 1
+                budget.spent += 1
                 if round_cores > self.max_cores:
                     saw_unknown = True
+                    cause = cause or MAX_CORES
                     break
                 # The literals are nodes of ``nnf``, alive for the query.
                 leaf = tuple(map(id, literals))
@@ -1711,7 +1808,7 @@ class Solver:
                     core_status, core_model = UNSAT, None
                 else:
                     core_status, core_model = core.solve(
-                        literals, deadline, limit
+                        literals, budget, limit
                     )
                     if core.structurally_refuted:
                         refuted_leaves.add(leaf)
@@ -1723,7 +1820,8 @@ class Solver:
                     break
                 if core_status == UNKNOWN:
                     saw_unknown = True
-                if time.monotonic() > deadline:
+                    cause = cause or core.unknown_cause
+                if budget.exhausted():
                     saw_unknown = True
                     break
             if status == SAT:
@@ -1731,10 +1829,12 @@ class Solver:
             if not saw_unknown:
                 status = UNSAT  # every core definitively refuted
                 break
-            if time.monotonic() > deadline:
+            if budget.exhausted():
                 break
+        unknown_cause = None
         if status != SAT and saw_unknown:
             status = UNKNOWN
+            unknown_cause = budget.cause or cause
         result = SolverResult(
             status,
             model,
@@ -1743,6 +1843,8 @@ class Solver:
             candidates_tried=self._candidates_tried,
             prefixes_refuted=sum(prefix_verdicts.values()),
             literals_ingested=core.literals_ingested - ingested,
+            units=budget.spent,
+            unknown_cause=unknown_cause,
         )
         if core.memo_size() <= CORE_MEMO_CAP and not self._cores:
             self._cores.append(core)
@@ -1756,6 +1858,8 @@ class Solver:
                     concat_refuted=concat_refuted,
                     prefixes_refuted=result.prefixes_refuted,
                     literals_ingested=result.literals_ingested,
+                    units=result.units,
+                    unknown_cause=unknown_cause,
                 )
             )
         return result

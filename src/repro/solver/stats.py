@@ -21,8 +21,12 @@ from repro.obs import metrics as _metrics
 #: into :class:`QueryRecord` by callers that make several raw solves.
 WORK_COUNTERS = (
     "cores_tried", "candidates_tried", "concat_refuted", "prefixes_refuted",
-    "literals_ingested",
+    "literals_ingested", "units",
 )
+
+#: The cause an UNKNOWN from a backend that names none (an external
+#: solver) is counted under.
+UNNAMED_CAUSE = "backend"
 
 
 @dataclass
@@ -48,6 +52,20 @@ class QueryRecord:
     #: Literals the solver's incremental core took in: a conjunction
     #: re-ingests only those it does not share with the previous one.
     literals_ingested: int = 0
+    #: Work units spent from the solver's per-query budgets.
+    units: int = 0
+    #: Why an UNKNOWN is one (``repro.solver.core``'s cause names, or
+    #: ``refinement_limit``); ``None`` otherwise.
+    unknown_cause: Optional[str] = None
+
+    @property
+    def settled(self) -> bool:
+        """Whether the verdict is the same on every run: SAT, UNSAT, or
+        an UNKNOWN for a named cause other than the wall-clock
+        backstop."""
+        return self.status != "unknown" or self.unknown_cause not in (
+            None, "timeout"
+        )
 
 
 @dataclass
@@ -250,6 +268,11 @@ class SolverStats:
             status=record.status,
             refined=str(record.refinements > 0).lower(),
         )
+        if record.status == "unknown":
+            _metrics.count(
+                "solver_unknown_total",
+                cause=record.unknown_cause or UNNAMED_CAUSE,
+            )
         _metrics.observe("solver_query_seconds", record.seconds)
 
     def record_cache(self, hit: bool) -> None:
@@ -420,6 +443,16 @@ class SolverStats:
         """Literals ingested by the solver's incremental cores, over all
         queries."""
         return sum(q.literals_ingested for q in self.queries)
+
+    def unknown_causes(self) -> Dict[str, int]:
+        """UNKNOWN queries counted by cause; the counts sum to the
+        UNKNOWN queries."""
+        causes: Dict[str, int] = {}
+        for q in self.queries:
+            if q.status == "unknown":
+                cause = q.unknown_cause or UNNAMED_CAUSE
+                causes[cause] = causes.get(cause, 0) + 1
+        return dict(sorted(causes.items()))
 
     def _subset(self, predicate) -> List[QueryRecord]:
         return [q for q in self.queries if predicate(q)]

@@ -5,8 +5,11 @@ windows are deterministic: a duplicate submitted while its twin is
 queued or in flight *must* coalesce — no sleeps, no timing luck.
 """
 
+import itertools
 import socket
 import threading
+import time
+import types
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.service import jobs
 from repro.service.jobs import AnalyzeJob, SolveJob, SurveyJob
 from repro.service.report import merge_solve, merge_survey
 from repro.service.runner import BatchRunner, RunnerConfig
+from repro.solver import core as solver_core
 
 from serve_testing import (
     GateJob,
@@ -175,6 +179,21 @@ def _solve(pattern="x(y|z)+w", **extra):
     return dict({"kind": "solve", "pattern": pattern}, **extra)
 
 
+#: A literal no solver bound decides (the ``serve`` corpus has it).
+LOOKAHEAD = r"(?=.*\d)(?=.*[a-z]).{8,}"
+
+
+def _solver_clock(monkeypatch, monotonic):
+    """Give the solver core its own ``time.monotonic``."""
+    monkeypatch.setattr(
+        solver_core,
+        "time",
+        types.SimpleNamespace(
+            monotonic=monotonic, perf_counter=time.perf_counter
+        ),
+    )
+
+
 def _run_one(client, spec):
     """Submit one spec and wait for it: ``(ack, result)``."""
     ack = client.submit(spec)
@@ -215,7 +234,7 @@ class TestReplay:
         assert replayed["status"] == "ok"
         assert replayed["payload"]["deduped_from"] == first["job_id"]
         assert replayed["payload"]["word"] == original.payload["word"]
-        assert replayed["payload"]["solver_queries"] == 0
+        assert "solver_queries" not in replayed["payload"]
         assert replayed["seconds"] == 0.0
         assert replayed["cache_hits"] == replayed["cache_misses"] == 0
         assert server.scheduler.executed == executed
@@ -224,12 +243,48 @@ class TestReplay:
         assert stats["singleflight_coalesced"] == 1
         assert stats["jobs_completed"] == 1
 
-    def test_not_found_result_is_not_replayed(self, tmp_path):
+    def test_unsat_result_is_replayed(self, tmp_path):
         server, sock_path = start_daemon(tmp_path)
         with ServeClient(socket_path=sock_path, timeout=60.0) as client:
-            _, first = _run_one(client, _solve("a^b"))
+            first, original = _run_one(client, _solve("a^b"))
             ack, second = _run_one(client, _solve("a^b"))
+        assert original.payload["found"] is False
+        assert original.payload["settled"] is True
+        assert ack["coalesced"] is True
+        assert second.payload["deduped_from"] == first["job_id"]
+        assert second.payload["found"] is False
+        assert server.scheduler.executed == 1
+        assert server.scheduler.replayed == 1
+
+    def test_budget_unknown_is_replayed(self, tmp_path, monkeypatch):
+        # Jobs run inline, in this process: freeze the solver's clock so
+        # the query can only stop on its work budget.
+        _solver_clock(monkeypatch, lambda: 1000.0)
+        server, sock_path = start_daemon(tmp_path)
+        spec = _solve(LOOKAHEAD, solver_timeout=0.1)
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            first, original = _run_one(client, spec)
+            ack, second = _run_one(client, spec)
+        assert original.payload["found"] is False
+        assert original.payload["unknown_causes"] == {"budget": 1}
+        assert ack["coalesced"] is True
+        assert second.payload["deduped_from"] == first["job_id"]
+        assert server.scheduler.executed == 1
+        assert server.scheduler.replayed == 1
+
+    def test_timeout_unknown_is_not_replayed(self, tmp_path, monkeypatch):
+        # Every clock read is a second later: the wall-clock backstop
+        # ends the query before its budget does.
+        ticks = itertools.count()
+        _solver_clock(monkeypatch, lambda: float(next(ticks)))
+        server, sock_path = start_daemon(tmp_path)
+        spec = _solve(LOOKAHEAD, solver_timeout=0.1)
+        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
+            _, first = _run_one(client, spec)
+            ack, second = _run_one(client, spec)
         assert first.payload["found"] is False
+        assert first.payload["settled"] is False
+        assert first.payload["unknown_causes"] == {"timeout": 1}
         assert ack["coalesced"] is False
         assert "deduped_from" not in second.payload
         assert server.scheduler.executed == 2

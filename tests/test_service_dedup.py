@@ -93,7 +93,7 @@ class TestBatchDedup:
         for result in replayed:
             assert result.payload["found"] is True
             assert result.payload["word"]
-            assert result.payload["solver_queries"] == 0
+            assert "solver_queries" not in result.payload
             assert result.seconds == 0.0
 
     def test_dedup_counters_in_report_text_and_spec(self):

@@ -93,6 +93,28 @@ class TestMergeAnalyze:
         )
         assert "42 literals ingested" in solver_line
 
+    def test_unknown_causes_sum_onto_the_solver_line(self):
+        results = [
+            analyze_result("a", 6, 10, unknown_causes={"budget": 2}),
+            analyze_result(
+                "b", 10, 10, unknown_causes={"budget": 1, "timeout": 1}
+            ),
+            analyze_result("c", 1, 10),  # payload from before the counter
+        ]
+        merged = merge_analyze(results)
+        assert merged["unknown_causes"] == {"budget": 3, "timeout": 1}
+        text = format_batch_report(BatchReport(results=results))
+        solver_line = next(
+            line for line in text.splitlines() if line.startswith("solver:")
+        )
+        assert solver_line.endswith("; unknown: budget 3, timeout 1")
+
+    def test_no_unknown_no_cause_list(self):
+        text = format_batch_report(
+            BatchReport(results=[analyze_result("a", 6, 10)])
+        )
+        assert "unknown:" not in text
+
     def test_empty(self):
         merged = merge_analyze([])
         assert merged["coverage"] == 0.0

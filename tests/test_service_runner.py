@@ -10,9 +10,11 @@ import pytest
 from repro.service import (
     AnalyzeJob,
     BatchRunner,
+    JobResult,
     RunnerConfig,
     SolveJob,
     SurveyJob,
+    merge_analyze,
 )
 from repro.service.jobs import _JobBase
 from repro.service.runner import replay_result
@@ -257,11 +259,28 @@ class TestReplayResult:
         assert replayed.job_id == "dup"
         assert replayed.status == rep_result.status
         assert replayed.payload["deduped_from"] == "rep"
-        assert replayed.payload["solver_queries"] == 0
+        assert "solver_queries" not in replayed.payload
         assert replayed.seconds == 0.0
         assert replayed.cache_hits == 0
         # The representative's own result is untouched.
         assert "deduped_from" not in rep_result.payload
+
+    def test_replayed_analysis_counts_no_refinements(self):
+        rep_job = AnalyzeJob(job_id="rep", source="var x = 1;")
+        dup_job = AnalyzeJob(job_id="dup", source="var x = 1;")
+        payload = {
+            "name": "rep", "covered": 1, "statement_count": 1,
+            "coverage": 1.0, "tests_run": 1, "queries": 3,
+            "sat_queries": 2, "regex_ops": 1, "wall_time": 0.1,
+            "failures": [], "solver_queries": 3, "refined_queries": 2,
+            "sum_refinements": 5, "unknown_causes": {"budget": 1},
+        }
+        rep_result = JobResult("rep", "analyze", "ok", payload=payload)
+        replayed = replay_result(dup_job, rep_job, rep_result)
+        merged = merge_analyze([rep_result, replayed])
+        assert merged["tests_run"] == 2
+        assert (merged["solver_queries"], merged["refined_queries"]) == (3, 2)
+        assert merged["unknown_causes"] == {"budget": 1}
 
 
 class TestConfig:
