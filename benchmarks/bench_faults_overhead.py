@@ -3,7 +3,7 @@
 Backs the fault-tolerance acceptance bound and writes the
 ``BENCH_faults.json`` trajectory the CI perf-smoke job uploads: fault
 sites (``faults.fire`` / ``faults.enabled`` / ``faults.crash_point``)
-sit on the worker, session, store, and serve hot paths, so with **no
+sit on the worker, store, and serve hot paths, so with **no
 plan installed** their combined per-query price must stay under **3%**
 of even the cheapest real query — the warm cached replay.  Measured as
 a microbenchmark (per-call cost × a generous per-query site count vs
@@ -32,8 +32,9 @@ if PERF_SMOKE:
     PATTERNS = PATTERNS[:3]
 
 #: Generous count of fault-site consultations per solved query: the
-#: worker crash point, a couple of session round trips, the query- and
-#: dfa-store reads, breaker feeds, and a serve frame or two.
+#: worker crash point, the query- and dfa-store reads, and a serve
+#: frame or two.  Kept at 16 although fewer sites remain: a lower
+#: count would loosen the 3% bound.
 _FAULT_CALLS_PER_QUERY = 16
 
 

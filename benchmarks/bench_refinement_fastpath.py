@@ -3,45 +3,22 @@
 Backs the acceptance claims and writes the ``BENCH_refinement.json``
 trajectory the CI perf-smoke job uploads:
 
-- **Session-pool amortization across a multi-job batch** — a
-  refinement-heavy query stream (recorded from real CEGAR runs: many
-  flips, shared refinement prefixes) executed as many single-stream
-  jobs.  The PR 4 baseline builds one ``session:`` backend per job
-  (spawn per job); the fast path leases from the shared
-  ``SessionPool``.  Must be ≥3× faster and spawn <1 process per 25
-  refined queries.
-- **Refined-query caching** — the same refinement-heavy solve batch
-  against an empty persistent query store and again warm: every query
-  of every refinement stream replays from disk.
-- **Mid-loop rerouting** — a canned-replay session decides a full
-  CEGAR stream; ``route_tallies`` must show the refined queries
-  migrating to the session.
+- **Refined-query caching** — a refinement-heavy solve batch against
+  an empty persistent query store and again warm: every query of every
+  refinement stream replays from disk.
 - **Lazy union products** — the alternation suite queried through
   ``LazyUnion`` must visit strictly fewer states than the eagerly
   determinized union materializes.
-
-Everything runs with fake solver binaries: no z3 on the CI machine.
 """
 
-import stat
-import textwrap
 import time
 
 from conftest import PERF_SMOKE, update_json_result
 
 from repro.automata import clear_caches, dfa_for_pattern
 from repro.automata.lazy import LazyUnion
-from repro.constraints import StrVar
 from repro.constraints.printer import canonical_regex
-from repro.model.api import SymbolicRegExp
-from repro.model.cegar import CegarSolver
 from repro.service import BatchRunner, RunnerConfig, SolveJob
-from repro.solver import Solver, SolverStats
-from repro.solver.backends import (
-    PooledSessionBackend,
-    SessionBackend,
-    SessionPool,
-)
 
 #: Refinement-prone capture patterns (the paper's §3.4 greediness trap
 #: and friends): the model admits capture assignments no ES6 engine
@@ -58,141 +35,6 @@ REFINEMENT_PATTERNS = [
 ]
 if PERF_SMOKE:
     REFINEMENT_PATTERNS = REFINEMENT_PATTERNS[:5]
-
-#: Flip rounds per pattern: re-posing the same streams is exactly the
-#: "shared refinement prefixes across flips" shape of a DSE run.  Even
-#: quick mode keeps enough flips that the refined-query count can
-#: clear the <1 spawn/25 amortization bar with a single spawn.
-FLIPS = 6
-
-
-def _record_streams():
-    """The refinement-heavy corpus: one recorded CEGAR query stream
-    (initial + refined queries) per pattern."""
-
-    class Recorder:
-        def __init__(self):
-            self.native = Solver(timeout=5.0)
-            self.formulas = []
-
-        def solve(self, formula):
-            self.formulas.append(formula)
-            return self.native.solve(formula)
-
-    streams = []
-    refined_total = 0
-    for pattern in REFINEMENT_PATTERNS:
-        recorder = Recorder()
-        model = SymbolicRegExp(pattern, "").exec_model(
-            StrVar(f"in!{len(streams)}")
-        )
-        result = CegarSolver(solver=recorder).solve(
-            model.match_formula, [model.constraint]
-        )
-        assert result.refinements >= 1, pattern
-        refined_total += result.refinements
-        streams.append(recorder.formulas)
-    return streams, refined_total
-
-
-_FAKE_UNSAT = textwrap.dedent(
-    '''\
-    #!/usr/bin/env python3
-    import re, sys
-    for line in sys.stdin:
-        line = line.strip()
-        if line == "(check-sat)":
-            print("unsat", flush=True)
-        else:
-            m = re.match(r'\\(echo "(.*)"\\)', line)
-            if m:
-                print(m.group(1), flush=True)
-    '''
-)
-
-
-def _fake_solver(tmp_path, body=_FAKE_UNSAT, name="fakesolver"):
-    path = tmp_path / name
-    path.write_text(body)
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
-
-
-def test_session_pool_amortizes_refined_stream(
-    benchmark, record_table, tmp_path
-):
-    """PR 4 baseline (a session backend per job → spawn per job) vs the
-    pooled fast path on the recorded refinement streams."""
-    streams, refined_total = _record_streams()
-    jobs = streams * FLIPS  # many flips re-posing the same streams
-    fake = _fake_solver(tmp_path)
-
-    def measure():
-        # Baseline: every job owns (and closes) a private session — the
-        # lifecycle PR 4's per-job backend construction produced.
-        started = time.perf_counter()
-        baseline_spawns = 0
-        for stream in jobs:
-            backend = SessionBackend(fake, timeout=10.0)
-            for formula in stream:
-                assert backend.solve(formula).status == "unsat"
-            baseline_spawns += backend.spawns
-            backend.close()
-        baseline_s = time.perf_counter() - started
-
-        # Fast path: per-job backends lease from one shared pool.
-        pool = SessionPool()
-        stats = SolverStats()
-        started = time.perf_counter()
-        for stream in jobs:
-            backend = PooledSessionBackend(
-                fake, timeout=10.0, stats=stats, pool=pool
-            )
-            for formula in stream:
-                assert backend.solve(formula).status == "unsat"
-            backend.close()  # no-op: the pool keeps the session
-        pooled_s = time.perf_counter() - started
-        tally = stats.session_summary()[f"session:{fake}"]
-        pool.close()
-        return baseline_s, baseline_spawns, pooled_s, tally
-
-    baseline_s, baseline_spawns, pooled_s, tally = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    refined_queries = refined_total * FLIPS
-    total_queries = sum(len(s) for s in jobs)
-    speedup = baseline_s / pooled_s if pooled_s else 0.0
-    spawns_per_refined = (
-        tally["spawns"] / refined_queries if refined_queries else 1.0
-    )
-    data = {
-        "jobs": len(jobs),
-        "total_queries": total_queries,
-        "refined_queries": refined_queries,
-        "baseline_s": baseline_s,
-        "baseline_spawns": baseline_spawns,
-        "pooled_s": pooled_s,
-        "pooled_spawns": tally["spawns"],
-        "pooled_checkouts": tally["checkouts"],
-        "speedup": speedup,
-        "spawns_per_refined_query": spawns_per_refined,
-    }
-    update_json_result("BENCH_refinement.json", "session_pool", data)
-    record_table(
-        "refinement_pool.txt",
-        f"Session pool vs spawn-per-job on the refinement stream\n"
-        f"({len(jobs)} jobs, {total_queries} queries, "
-        f"{refined_queries} refined)\n"
-        f"baseline: {1000 * baseline_s:8.2f} ms "
-        f"({baseline_spawns} spawns)\n"
-        f"pooled:   {1000 * pooled_s:8.2f} ms "
-        f"({tally['spawns']} spawns, {tally['checkouts']} checkouts, "
-        f"{speedup:.1f}x)",
-    )
-    # Acceptance: >=3x over the PR 4 baseline, <1 spawn/25 refined.
-    assert speedup >= 3.0
-    assert spawns_per_refined < 1 / 25
-    assert baseline_spawns == len(jobs)  # what the baseline really paid
 
 
 def test_refined_queries_replay_from_warm_store(
@@ -273,115 +115,6 @@ def test_refined_queries_replay_from_warm_store(
         f"({warm_report.cache_hits} replays, {speedup:.1f}x)",
     )
     assert speedup >= 3.0
-
-
-def test_refined_stream_migrates_to_session(
-    benchmark, record_table, tmp_path
-):
-    """Mid-loop rerouting: a canned-replay session decides one full
-    CEGAR stream; the refined share lands on the ``refined-`` route."""
-    from repro.constraints.printer import _string_literal, _variables
-
-    class Recorder:
-        def __init__(self):
-            self.native = Solver(timeout=5.0)
-            self.formulas = []
-
-        def solve(self, formula):
-            self.formulas.append(formula)
-            return self.native.solve(formula)
-
-    def canned(formulas):
-        responses = []
-        for formula in formulas:
-            result = Solver(timeout=5.0).solve(formula)
-            if result.status != "sat":
-                responses.append((result.status, "()"))
-                continue
-            pairs = []
-            for var in sorted(_variables(formula), key=lambda v: v.name):
-                value = result.model[var]
-                defined = "false" if value is None else "true"
-                literal = _string_literal(value or "")
-                name = (
-                    var.name
-                    if all(c.isalnum() or c in "_.$" for c in var.name)
-                    else f"|{var.name}|"
-                )
-                defname = (
-                    f"{name[:-1]}.def|" if name.endswith("|")
-                    else f"{name}.def"
-                )
-                pairs.append(f"({name} {literal})")
-                pairs.append(f"({defname} {defined})")
-            responses.append(("sat", "(" + " ".join(pairs) + ")"))
-        return responses
-
-    def replay_solver(responses):
-        counter = tmp_path / "route.counter"
-        counter.write_text("0")
-        body = textwrap.dedent(
-            f'''\
-            #!/usr/bin/env python3
-            import re, sys
-            RESPONSES = {responses!r}
-            COUNTER = {str(counter)!r}
-
-            def take():
-                with open(COUNTER) as f:
-                    i = int(f.read().strip() or "0")
-                with open(COUNTER, "w") as f:
-                    f.write(str(i + 1))
-                return RESPONSES[i % len(RESPONSES)]
-
-            current = [None]
-            for line in sys.stdin:
-                line = line.strip()
-                if line == "(check-sat)":
-                    current[0] = take()
-                    print(current[0][0], flush=True)
-                elif line.startswith("(get-value"):
-                    print(current[0][1] if current[0] else "()", flush=True)
-                else:
-                    m = re.match(r'\\(echo "(.*)"\\)', line)
-                    if m:
-                        print(m.group(1), flush=True)
-            '''
-        )
-        return _fake_solver(tmp_path, body, name="routereplay")
-
-    def measure():
-        model = SymbolicRegExp(r"^a*(a)?$", "").exec_model(
-            StrVar("in!route")
-        )
-        recorder = Recorder()
-        native_result = CegarSolver(solver=recorder).solve(
-            model.match_formula, [model.constraint]
-        )
-        fake = replay_solver(canned(recorder.formulas))
-        stats = SolverStats()
-        cegar = CegarSolver(backend=f"route:{fake}", stats=stats)
-        routed = cegar.solve(model.match_formula, [model.constraint])
-        cegar.solver.close()
-        assert routed.status == native_result.status == "sat"
-        return stats.route_summary(), native_result.refinements
-
-    routes, refinements = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    update_json_result(
-        "BENCH_refinement.json",
-        "rerouting",
-        {"refinements": refinements, "routes": routes},
-    )
-    record_table(
-        "refinement_routes.txt",
-        "Mid-loop rerouting of the refined stream (route:<replay>)\n"
-        + "\n".join(f"{key}: {count}" for key, count in routes.items()),
-    )
-    # Acceptance: refined classical queries migrated to the session.
-    assert routes.get("refined-classical->session", 0) == refinements
-    assert refinements >= 1
 
 
 #: Alternation suite: periodic-length unions.  ``L = ⋃ (a^i)+`` needs

@@ -18,8 +18,8 @@ Commands:
   daemon's scheduler gauges and observability snapshot;
 
 ``solve``/``analyze``/``batch`` accept ``--backend SPEC`` to pick the
-solver backend (``native``, ``smtlib:z3``, ``session:z3``,
-``portfolio:auto``, ``route:z3``, ``cached:native``, ...) — see
+solver backend (``native``, ``smtlib:z3``,
+``portfolio:native+smtlib``, ``cached:native``, ...) — see
 :mod:`repro.solver.backends` — ``--automata-cache DIR`` to persist
 compiled DFAs across processes and invocations, and ``--query-cache
 DIR`` to persist definitive solver answers the same way (implies a
@@ -32,7 +32,7 @@ single-flight executions.
 merged deterministically across worker processes; the chrome format
 opens in Perfetto), ``--metrics-json FILE`` (labeled counter /
 gauge / histogram snapshot), and ``--slow-query-ms MS`` (log solver
-queries over the threshold with fingerprint, route, backend, and
+queries over the threshold with fingerprint, backend, and
 refinement depth) — see :mod:`repro.obs`.
 
 ``batch``/``serve`` accept the fault-tolerance flags ``--retry-max N``
@@ -483,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     backend_help = (
         "solver backend spec: native, native?timeout=2, smtlib:z3, "
-        "session:z3, portfolio:native+smtlib, portfolio:auto, route:z3, "
-        "cached:native, ... (nestable)"
+        "portfolio:native+smtlib, cached:native, ... (nestable)"
     )
     automata_cache_help = (
         "directory of the persistent automata compilation cache "
@@ -540,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--slow-query-ms", type=float, default=None, metavar="MS",
             help="log solver queries slower than MS milliseconds "
-            "(with fingerprint, route, backend, refinement depth)",
+            "(with fingerprint, backend, refinement depth)",
         )
 
     solve = sub.add_parser("solve", help="find a (non-)matching input")
@@ -755,11 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=query_cache_max_help,
     )
     serve.add_argument(
-        "--session-idle-s", type=float, default=None, metavar="S",
-        help="close pooled solver sessions idle for S seconds "
-        "(default: keep them for the daemon's life)",
-    )
-    serve.add_argument(
         "--max-queue", type=int, default=128,
         help="admission bound: queued jobs beyond this are rejected "
         "with an explicit 'overloaded' frame",
@@ -861,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--health", action="store_true",
         help="print the daemon's health report (liveness, readiness, "
-        "pool/breaker state); exit 0 iff ready",
+        "worker-pool state); exit 0 iff ready",
     )
     submit.add_argument(
         "--level", default="refined",

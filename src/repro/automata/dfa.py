@@ -266,15 +266,21 @@ class Dfa:
             emitted += 1
             if max_count is not None and emitted >= max_count:
                 return False
+        # Frontier entries revisit states (and hence labels) at many
+        # prefixes within one enumeration; sample each label once.
+        samples: Dict[CharSet, List[str]] = {}
         for _ in range(max_length):
             next_frontier: List[Tuple[int, Tuple[str, ...]]] = []
             for state, prefix in frontier:
                 for label, target in self.transitions[state]:
                     if target not in alive:
                         continue
-                    chars = label.sample_chars(samples_per_edge)
-                    if complete and len(chars) < label.size():
-                        complete = False
+                    chars = samples.get(label)
+                    if chars is None:
+                        chars = label.sample_chars(samples_per_edge)
+                        samples[label] = chars
+                        if complete and len(chars) < label.size():
+                            complete = False
                     for ch in chars:
                         extended = prefix + (ch,)
                         if target in self.accepts:

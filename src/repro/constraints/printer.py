@@ -69,78 +69,6 @@ def to_smtlib(
     return "\n".join(lines)
 
 
-def smtlib_prelude(get_values: bool = False) -> str:
-    """The once-per-session prelude of an incremental SMT-LIB dialogue.
-
-    An incremental session (``(push)``/``(pop)`` over one live solver
-    process) sets options and the logic exactly once; every query after
-    that is a delta rendered by :func:`to_smtlib_incremental`.  Re-emit
-    this after a ``(reset)``, which clears options along with assertions.
-    """
-    lines: List[str] = []
-    if get_values:
-        lines.append("(set-option :produce-models true)")
-    lines.append("(set-logic QF_S)")
-    return "\n".join(lines)
-
-
-def to_smtlib_incremental(
-    formula: Formula,
-    declared: Set[str],
-    *,
-    guarded: bool = False,
-    get_values: bool = False,
-    close_scope: bool = True,
-) -> str:
-    """Render ``formula`` as one incremental query over a shared prelude.
-
-    Only the *delta* is emitted: declarations for symbols not yet in
-    ``declared`` (updated in place) go at the solver's ground level so
-    they persist across queries, while the assertion itself lives inside
-    a ``(push 1)`` scope closed by a trailing ``(pop 1)``.
-    ``get_values=True`` asks for this query's symbols only — previously
-    declared symbols stay out of the answer.  ``close_scope=False``
-    leaves the scope open (no ``(pop 1)``) for callers that interleave
-    their own commands — e.g. a ``(get-value ...)`` sent only after a
-    ``sat`` verdict, since some solvers abort on model queries in other
-    states — and close the scope themselves (see
-    :func:`smtlib_query_symbols` for the matching symbol list).
-
-    Raises the same :class:`TypeError` as :func:`to_smtlib` on formulas
-    outside the classical fragment, *before* mutating ``declared``.
-    """
-    body = _formula(formula, guarded)
-    variables = sorted(_variables(formula), key=lambda v: v.name)
-    lines: List[str] = []
-    symbols: List[str] = []
-    for var in variables:
-        for name, sort in ((var.name, "String"), (var.name + ".def", "Bool")):
-            symbol = _symbol(name)
-            symbols.append(symbol)
-            if symbol not in declared:
-                declared.add(symbol)
-                lines.append(f"(declare-const {symbol} {sort})")
-    lines.append("(push 1)")
-    lines.append(f"(assert {body})")
-    lines.append("(check-sat)")
-    if get_values and symbols:
-        lines.append("(get-value (" + " ".join(symbols) + "))")
-    if close_scope:
-        lines.append("(pop 1)")
-    return "\n".join(lines)
-
-
-def smtlib_query_symbols(formula: Formula) -> List[str]:
-    """The declared symbols of ``formula``'s query, in rendering order
-    (each variable's String symbol followed by its ``.def`` guard) —
-    what a ``(get-value ...)`` for this query should ask for."""
-    symbols: List[str] = []
-    for var in sorted(_variables(formula), key=lambda v: v.name):
-        symbols.append(_symbol(var.name))
-        symbols.append(_symbol(var.name + ".def"))
-    return symbols
-
-
 def _formula(formula: Formula, guarded: bool = False) -> str:
     if isinstance(formula, BoolLit):
         return "true" if formula.value else "false"

@@ -1,6 +1,6 @@
-"""Fault injection, retry/backoff, and circuit breakers.
+"""Fault injection and retry/backoff.
 
-Three small, composable pieces behind the service's fault-tolerance
+Two small, composable pieces behind the service's fault-tolerance
 story (see the README's "Fault tolerance" section):
 
 - :mod:`repro.faults.plan` — deterministic, seeded fault *injection*
@@ -8,10 +8,7 @@ story (see the README's "Fault tolerance" section):
   by default (the chaos suite's lever);
 - :mod:`repro.faults.retry` — :class:`RetryPolicy`: bounded retries
   with deterministic backoff for crashed-worker/timeout results, and
-  poison-job quarantine (the *recovery* half);
-- :mod:`repro.faults.breaker` — per-command :class:`CircuitBreaker`
-  so a broken solver binary short-circuits to the native fallback
-  instead of paying spawn-and-fail per query.
+  poison-job quarantine (the *recovery* half).
 
 The plan engine's module-level functions (``fire`` / ``crash_point`` /
 ``corrupt_file`` / ``install`` / ``snapshot`` / ``reset``) are
@@ -19,12 +16,6 @@ re-exported here; production call sites use
 ``from repro import faults`` and ``faults.fire("site", ...)``.
 """
 
-from repro.faults.breaker import (
-    CircuitBreaker,
-    breakers_snapshot,
-    get_breaker,
-    reset_breakers,
-)
 from repro.faults.plan import (
     FAULT_PLAN_ENV,
     FaultInjected,
@@ -49,22 +40,18 @@ from repro.faults.retry import (
 __all__ = [
     "FAULT_PLAN_ENV",
     "CRASH_PREFIX",
-    "CircuitBreaker",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
     "RetryPolicy",
     "active_plan",
-    "breakers_snapshot",
     "corrupt_file",
     "crash_point",
     "crash_result",
     "enabled",
     "fire",
-    "get_breaker",
     "install",
     "lease_lost_result",
     "reset",
-    "reset_breakers",
     "snapshot",
 ]

@@ -4,7 +4,7 @@ Chaos testing needs faults that are *reproducible*: a test asserting
 "the second job on this worker dies" must kill exactly that job on
 every run, on every machine.  A :class:`FaultPlan` is a small, JSON-
 shaped set of :class:`FaultRule`\\ s, each naming an injection *site*
-(a string like ``worker:job`` or ``session:query``), an *action*
+(a string like ``worker:job`` or ``serve:frame``), an *action*
 (``kill`` / ``wedge`` / ``error`` / ``corrupt`` / ``drop`` /
 ``delay``), and a deterministic trigger — the site's nth hit, every
 kth hit, or a seeded pseudo-probability (a hash of ``(seed, site,
@@ -30,10 +30,6 @@ Named sites threaded through the codebase:
 ==================  =========================================================
 ``worker:job``      start of a pool worker's job execution (``kill`` /
                     ``wedge`` / ``error``)
-``session:spawn``   solver-process spawn (``error`` → spawn failure)
-``session:query``   one incremental round trip (``wedge`` swallows the
-                    script so the read loop times out; ``kill`` kills the
-                    solver process mid-query)
 ``query_store:get`` persistent query-store read (``corrupt`` garbles the
                     entry file first)
 ``dfa_store:get``   persistent automata-store read (same)

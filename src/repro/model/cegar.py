@@ -127,23 +127,6 @@ class CegarSolver:
                     stats=self.stats,
                 )
 
-    def _solve_query(self, problem: Formula, refinements: int):
-        """One ``Solve(P)`` of Algorithm 1, fast-path aware.
-
-        The initial query goes through the ordinary ``solve``; from the
-        first refinement on, the query is dispatched through the solver
-        chain's ``solve_refined`` when it has one — the cache decorator
-        keys each refined query's own canonical fingerprint, and the
-        router re-classifies the refined formula (refinements are
-        always classical, so the stream migrates to the incremental
-        session mid-loop even when the initial query routed native).
-        """
-        if refinements > 0:
-            refined = getattr(self.solver, "solve_refined", None)
-            if callable(refined):
-                return refined(problem)
-        return self.solver.solve(problem)
-
     def solve(
         self,
         problem: Formula,
@@ -168,16 +151,15 @@ class CegarSolver:
                 with obs.span(
                     "cegar:iter", iteration=refinements
                 ) as iter_span:
-                    solved = self._solve_query(problem, refinements)
+                    solved = self.solver.solve(problem)
                     iter_span.set(status=solved.status)
                 for name in WORK_COUNTERS:
                     work[name] += getattr(solved, name)
-                # A router annotates the innermost open span with its
-                # decision; hoist it so the slow-query log (which keeps
-                # only ``cegar:solve``-family spans) sees the route.
-                for key in ("route", "target", "cache"):
-                    if key in iter_span.attrs:
-                        solve_span.set(**{key: iter_span.attrs[key]})
+                # The cache decorator annotates the innermost open span
+                # with hit/miss; hoist it so the slow-query log (which
+                # keeps only ``cegar:solve``-family spans) sees it.
+                if "cache" in iter_span.attrs:
+                    solve_span.set(cache=iter_span.attrs["cache"])
                 if solved.status != SAT:
                     result = CegarResult(
                         solved.status, None, refinements, False,

@@ -1,8 +1,8 @@
 """Labeled metrics registry: counters, gauges, histograms.
 
 The tallies the solver stack already keeps (:class:`SolverStats`
-backend/session/route/cache counters, the automata interner's hit
-counters, the lazy spaces' exploration counts) *feed* this registry
+backend/cache counters, the automata interner's hit counters, the
+lazy spaces' exploration counts) *feed* this registry
 instead of growing yet another parallel mechanism: when a registry is
 enabled, ``stats.py`` and the automata layer mirror each recorded
 delta into labeled metrics; when disabled, the module-level helpers

@@ -46,7 +46,7 @@ _CURRENT: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
 
 #: Span names eligible for the slow-query log.  These are the "one
 #: solver query" units — a CEGAR run or a raw DSE flip — where a
-#: canonical fingerprint / route / refinement depth annotation makes
+#: canonical fingerprint / backend / refinement depth annotation makes
 #: the log entry actionable.
 SLOW_FAMILIES = ("cegar:solve", "dse:flip")
 
@@ -304,7 +304,7 @@ class Tracer:
             )
 
     def record_event(self, name: str, attrs: Dict[str, Any]) -> None:
-        """An instantaneous marker (spawn, lease, route decision, ...)."""
+        """An instantaneous marker (worker crash, lease revoked, ...)."""
         self._fork_guard()
         seq = self._next_seq()
         self.events_recorded += 1

@@ -2,8 +2,8 @@
 
 ``python -m repro serve`` amortizes what every cold ``repro batch``
 invocation pays again — interpreter start-up, worker-pool spawn, cache
-and automata-store warm-up, solver-session spin-up — across every job
-any client submits for the daemon's whole life.  Clients speak
+and automata-store warm-up — across every job any client submits for
+the daemon's whole life.  Clients speak
 newline-delimited JSON over a unix socket or TCP port
 (:mod:`repro.serve.protocol`), results stream back the moment they
 land, and duplicated work coalesces across clients through the

@@ -103,7 +103,6 @@ def run_serve(args) -> int:
             automata_cache=args.automata_cache,
             query_cache=args.query_cache,
             query_cache_max=args.query_cache_max,
-            session_idle_s=args.session_idle_s,
             retry_max=retry_max,
             retry_backoff_s=getattr(args, "retry_backoff_s", 0.25),
             quarantine_after=getattr(args, "quarantine_after", None),

@@ -18,9 +18,7 @@ this module owns connection lifecycle and drain:
 - SIGTERM/SIGINT triggers a graceful drain: stop accepting, reject new
   submits with ``draining``, flush every in-flight job's result to its
   waiters, close the pool gracefully (each worker exits on a stop
-  message, and its pooled solver sessions exit on EOF of their pipes),
-  close this process's session pool, and checkpoint metrics — then
-  exit 0.
+  message), and checkpoint metrics — then exit 0.
 
 With ``--cluster`` the same listener doubles as the fleet coordinator:
 ``register`` / ``heartbeat`` / ``done`` / ``cache_get`` / ``cache_put``
@@ -40,15 +38,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro import faults, obs
-from repro.faults.breaker import breakers_snapshot
 from repro.obs import metrics
 from repro.obs.export import ObsRun
 from repro.serve import protocol
 from repro.serve.scheduler import JobScheduler, Overloaded
 from repro.service.jobs import JobResult, job_from_spec
 from repro.service.runner import BatchRunner
-from repro.solver.backends import reset_session_pool
-from repro.solver.backends.pool import get_session_pool
 
 
 @dataclass
@@ -203,7 +198,6 @@ class ServeServer:
         if self._handler_tasks:
             await asyncio.wait(set(self._handler_tasks), timeout=10.0)
         self.runner.close(graceful=True)
-        reset_session_pool()
         obs.checkpoint()
 
     async def run(self, install_signals: bool = True) -> None:
@@ -308,8 +302,6 @@ class ServeServer:
             "in_flight": scheduler.get("in_flight", 0),
             "retries": scheduler.get("retries", 0),
             "quarantined": scheduler.get("quarantined", 0),
-            "session_pool": {"idle_sessions": get_session_pool().idle_count()},
-            "breakers": breakers_snapshot(),
             "stores": obs.store_counters(),
         }
         if self.cluster is not None:

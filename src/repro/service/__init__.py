@@ -27,16 +27,12 @@ from repro.service.report import (
     format_analyze_table,
     format_backend_table,
     format_batch_report,
-    format_route_table,
-    format_session_table,
     format_soundness_table,
     merge_analyze,
     merge_automata_counters,
     merge_backend_tallies,
     merge_disagreement_tallies,
     merge_fuzz,
-    merge_route_tallies,
-    merge_session_tallies,
     merge_solve,
     merge_survey,
 )
@@ -58,8 +54,6 @@ __all__ = [
     "format_analyze_table",
     "format_backend_table",
     "format_batch_report",
-    "format_route_table",
-    "format_session_table",
     "format_soundness_table",
     "fuzz_workload",
     "job_from_spec",
@@ -68,8 +62,6 @@ __all__ = [
     "merge_backend_tallies",
     "merge_disagreement_tallies",
     "merge_fuzz",
-    "merge_route_tallies",
-    "merge_session_tallies",
     "merge_solve",
     "merge_survey",
     "survey_workload",

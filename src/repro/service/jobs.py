@@ -401,13 +401,6 @@ class AnalyzeJob(_JobBase):
             "name": self.path or self.job_id,
             "backend": self.backend or "native",
             "backend_tallies": result.stats.backend_summary(),
-            "session_tallies": result.stats.session_summary(),
-            "route_tallies": result.stats.route_summary(),
-            **(
-                {"breaker_tallies": result.stats.breaker_summary()}
-                if result.stats.breaker_summary()
-                else {}
-            ),
             **(
                 {
                     "disagreement_tallies": (
@@ -562,13 +555,6 @@ class SolveJob(_JobBase):
         payload["literals_ingested"] = stats.literals_ingested()
         payload["refinements"] = sum(q.refinements for q in stats.queries)
         payload["backend_tallies"] = stats.backend_summary()
-        payload["session_tallies"] = stats.session_summary()
-        payload["route_tallies"] = stats.route_summary()
-        breaker_tallies = stats.breaker_summary()
-        if breaker_tallies:
-            # Only when a breaker actually transitioned: the common
-            # no-trip payload stays byte-identical to earlier releases.
-            payload["breaker_tallies"] = breaker_tallies
         disagreement_tallies = stats.disagreement_summary()
         if disagreement_tallies:
             # A collect-mode portfolio caught members contradicting each

@@ -116,8 +116,6 @@ class BatchReport:
                 "coalesced": self.jobs_coalesced,
             },
             "automata_cache": merge_automata_counters(self.results),
-            "routes": merge_route_tallies(self.results),
-            "sessions": merge_session_tallies(self.results),
             "statuses": self.by_status(),
             "recovery": {
                 "retries": self.total_retries,
@@ -376,66 +374,6 @@ def merge_backend_tallies(results: Sequence[JobResult]) -> Dict[str, dict]:
     return {name: tally.as_dict() for name, tally in sorted(totals.items())}
 
 
-def merge_session_tallies(results: Sequence[JobResult]) -> Dict[str, dict]:
-    """Sum incremental-session lifecycle tallies across job payloads.
-
-    Jobs that solved through a ``session:`` (or ``route:``) backend
-    carry ``payload["session_tallies"]`` — JSON-shaped
-    :class:`repro.solver.stats.SessionTally` dicts keyed by session
-    name; the merged ``queries_per_spawn`` is the batch-level
-    amortization figure (a one-shot ``smtlib:`` backend would sit at 1).
-    """
-    from repro.solver.stats import SessionTally
-
-    totals: Dict[str, SessionTally] = {}
-    for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        tallies = result.payload.get("session_tallies") or {}
-        for name, tally in tallies.items():
-            agg = totals.setdefault(name, SessionTally())
-            agg.merge_dict(tally)
-    return {name: tally.as_dict() for name, tally in sorted(totals.items())}
-
-
-def merge_route_tallies(results: Sequence[JobResult]) -> Dict[str, int]:
-    """Sum routing decision counts (``feature->target``) across payloads."""
-    totals: Dict[str, int] = {}
-    for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        for key, count in (result.payload.get("route_tallies") or {}).items():
-            totals[key] = totals.get(key, 0) + count
-    return dict(sorted(totals.items()))
-
-
-def format_session_table(tallies: Dict[str, dict]) -> str:
-    """Per-session corpus table: spawns, restarts, pool traffic,
-    amortization (``Q/spawn`` spans jobs when sessions are pooled)."""
-    lines = [
-        "Session                        Queries  Spawns  Restarts  Resets"
-        "  Chkouts  Waits  Q/spawn   Life(s)",
-    ]
-    for name, tally in tallies.items():
-        shown = name if len(name) <= 30 else "..." + name[-27:]
-        lines.append(
-            f"{shown:<30} {tally['queries']:>8} {tally['spawns']:>7} "
-            f"{tally['restarts']:>9} {tally['resets']:>7} "
-            f"{tally.get('checkouts', 0):>8} {tally.get('waits', 0):>6} "
-            f"{tally['queries_per_spawn']:>8.1f} {tally['seconds']:>9.2f}"
-        )
-    return "\n".join(lines)
-
-
-def format_route_table(tallies: Dict[str, int]) -> str:
-    """Routing decisions: which feature class went to which target."""
-    total = sum(tallies.values()) or 1
-    lines = ["Route                          Queries   Share"]
-    for key, count in tallies.items():
-        lines.append(f"{key:<30} {count:>8} {100 * count / total:>6.1f}%")
-    return "\n".join(lines)
-
-
 def format_backend_table(tallies: Dict[str, dict]) -> str:
     """Per-backend corpus table: outcomes, definitive rate, latency."""
     lines = [
@@ -457,12 +395,11 @@ def format_slow_query_table(entries: Sequence[dict]) -> str:
     """Slowest traced queries, worst first.
 
     Each entry is a tracer slow-log record: span name, duration, owning
-    pid, and the span attrs (fingerprint / route / backend /
-    refinements where the instrumented layers annotated them).
+    pid, and the span attrs (fingerprint / backend / refinements where
+    the instrumented layers annotated them).
     """
     lines = [
-        "Span          Time(ms)    PID  Route         Backend"
-        "       Refs  Fingerprint",
+        "Span          Time(ms)    PID  Backend       Refs  Fingerprint",
     ]
     ordered = sorted(entries, key=lambda e: e.get("ms", 0.0), reverse=True)
     for entry in ordered[:20]:
@@ -472,8 +409,7 @@ def format_slow_query_table(entries: Sequence[dict]) -> str:
             fingerprint = fingerprint[:16]
         lines.append(
             f"{entry.get('name', '?'):<12} {entry.get('ms', 0.0):>9.1f} "
-            f"{entry.get('pid', 0):>6}  {str(attrs.get('route', '-')):<12} "
-            f"{str(attrs.get('backend', attrs.get('target', '-'))):<12} "
+            f"{entry.get('pid', 0):>6}  {str(attrs.get('backend', '-')):<12} "
             f"{str(attrs.get('refinements', '-')):>5}  {fingerprint}"
         )
     if len(ordered) > 20:
@@ -643,16 +579,6 @@ def format_batch_report(report: BatchReport) -> str:
     if backend_tallies:
         lines += ["", "== Solver backends " + "=" * 45]
         lines.append(format_backend_table(backend_tallies))
-
-    route_tallies = merge_route_tallies(report.results)
-    if route_tallies:
-        lines += ["", "== Query routing " + "=" * 47]
-        lines.append(format_route_table(route_tallies))
-
-    session_tallies = merge_session_tallies(report.results)
-    if session_tallies:
-        lines += ["", "== Incremental sessions " + "=" * 40]
-        lines.append(format_session_table(session_tallies))
 
     if report.trace_path or report.metrics_path or report.slow_queries:
         lines += ["", "== Observability " + "=" * 47]

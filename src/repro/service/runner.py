@@ -89,7 +89,6 @@ def _worker_init(
     query_cache=None,
     query_cache_max=None,
     obs_config=None,
-    session_idle_s=None,
     fault_plan=None,
 ) -> None:
     global _WORKER_CACHE
@@ -103,10 +102,6 @@ def _worker_init(
         from repro.automata import configure_automata_cache
 
         configure_automata_cache(automata_cache)
-    if session_idle_s:
-        from repro.solver.backends import get_session_pool
-
-        get_session_pool().set_idle_timeout(session_idle_s)
     obs.configure_worker(obs_config)
     # With no plan given this *clears* any plan inherited via fork and
     # falls back to REPRO_FAULT_PLAN — worker fault state is always
@@ -289,12 +284,6 @@ class RunnerConfig:
     #: Coalesce jobs with identical ``dedup_key()`` into single-flight
     #: executions before dispatch (scheduler-level query dedup).
     dedup: bool = False
-    #: Close pooled incremental solver sessions idle for this many
-    #: seconds (armed in every worker and inline; ``None`` keeps the
-    #: PR 5 behaviour of pinning idle sessions until process exit).
-    #: The serve daemon's ``--session-idle-s`` lands here so a quiet
-    #: daemon does not hold solver processes forever.
-    session_idle_s: Optional[float] = None
     #: Fault tolerance: bounded retries per job for crashed-worker and
     #: backstop-timeout results (0 = the pre-existing fail-fast
     #: behaviour), their base backoff, and the poison-job fuse — after
@@ -436,10 +425,6 @@ class BatchRunner:
         self._obs_run = obs_run or self._obs_run
         if self.config.fault_plan is not None:
             faults.install(self.config.fault_plan)
-        if self.config.session_idle_s:
-            from repro.solver.backends import get_session_pool
-
-            get_session_pool().set_idle_timeout(self.config.session_idle_s)
         if self.config.workers == 0:
             self._inline_factory = self._build_inline_factory()
             self._executor = ThreadPoolExecutor(
@@ -469,9 +454,7 @@ class BatchRunner:
 
         ``graceful`` lets queued and in-flight jobs finish, then asks
         each worker to exit; ``graceful=False`` drops queued jobs
-        undelivered and SIGKILLs the workers.  A worker's pooled solver
-        sessions die with it: each session child exits on EOF of its
-        pipes once the worker is gone.
+        undelivered and SIGKILLs the workers.
         """
         if not self._started:
             return
@@ -836,7 +819,6 @@ class BatchRunner:
             self._obs_run.worker_config()
             if self._obs_run is not None
             else None,
-            self.config.session_idle_s,
             self.config.fault_plan,
         )
 
@@ -896,8 +878,7 @@ _WORK_KEYS = frozenset((
     "solver_queries", "solver_seconds", "concat_refuted",
     "prefixes_refuted", "literals_ingested", "unknown_causes",
     "refinements", "refined_queries", "sum_refinements",
-    "backend_tallies", "session_tallies", "route_tallies",
-    "automata_cache",
+    "backend_tallies", "automata_cache",
 ))
 
 

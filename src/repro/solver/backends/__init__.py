@@ -13,14 +13,7 @@ solver.  This package makes the choice a first-class, *pluggable* API:
   ``native?timeout=2``       same, with options
   ``smtlib:z3``              external SMT-LIB solver subprocess (z3/cvc5);
                              degrades to UNKNOWN when no binary exists
-  ``session:z3``             live incremental solver processes leased from
-                             the process-wide :class:`SessionPool` (push/pop
-                             per query; spawns amortize across jobs);
-                             ``?pooled=0`` for a private process
   ``portfolio:native+smtlib``  race members, first definitive answer wins
-  ``portfolio:auto``         native + a session per installed binary
-  ``route:z3``               per-query feature routing (captures→native,
-                             classical→session, mixed→portfolio)
   ``cached:<inner>``         memoize definitive answers of any inner spec
                              (persistently, with a ``query_cache`` dir)
   ========================   ==============================================
@@ -40,21 +33,12 @@ from repro.solver.backends.base import (
 )
 from repro.solver.backends.cached import CachedBackend, QueryCache
 from repro.solver.backends.native import NativeBackend
-from repro.solver.backends.pool import (
-    PooledSessionBackend,
-    SessionPool,
-    get_session_pool,
-    reset_session_pool,
-)
 from repro.solver.backends.portfolio import PortfolioBackend
 from repro.solver.backends.registry import (
-    detect_solver_binaries,
     make_backend,
     register_backend,
     registered_backends,
 )
-from repro.solver.backends.router import RouterBackend, classify_formula
-from repro.solver.backends.session import SessionBackend
 from repro.solver.backends.smtlib import SmtLibBackend
 
 __all__ = [
@@ -62,17 +46,10 @@ __all__ = [
     "BackendError",
     "CachedBackend",
     "NativeBackend",
-    "PooledSessionBackend",
     "PortfolioBackend",
     "QueryCache",
-    "RouterBackend",
-    "SessionBackend",
-    "SessionPool",
     "SmtLibBackend",
     "SolverBackend",
-    "classify_formula",
-    "detect_solver_binaries",
-    "get_session_pool",
     "make_backend",
     "register_backend",
     "registered_backends",

@@ -82,19 +82,6 @@ class SolverBackend(abc.ABC):
     def solve(self, formula: Formula) -> SolverResult:
         """Decide ``formula``: SAT (with model), UNSAT, or UNKNOWN."""
 
-    def solve_refined(self, formula: Formula) -> SolverResult:
-        """Decide a CEGAR-*refined* query (Algorithm 1, iterations > 0).
-
-        The refinement loop calls this instead of :meth:`solve` from the
-        second iteration on, letting backends treat the refined stream
-        specially — the router re-classifies and migrates it to the
-        incremental session, the cache decorator keys each refined
-        query's fingerprint.  The default is simply :meth:`solve`:
-        answering a refined query is never allowed to differ in
-        soundness, only in dispatch.
-        """
-        return self.solve(formula)
-
     def bind_stats(self, stats: SolverStats) -> None:
         """Attach a tally sink if none was set at construction."""
         if self.stats is None:

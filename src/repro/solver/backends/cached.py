@@ -226,21 +226,6 @@ class CachedSolver:
         return self.solver.timeout
 
     def solve(self, formula: Formula) -> SolverResult:
-        return self._solve_cached(formula, refined=False)
-
-    def solve_refined(self, formula: Formula) -> SolverResult:
-        """Cache-decorated dispatch of a CEGAR-*refined* query.
-
-        Each refined query is keyed on its own canonical fingerprint —
-        refinement streams share long prefixes across flips, so repeated
-        prefixes replay from memory/disk instead of re-entering the
-        solver — and a miss is forwarded to the inner backend's
-        ``solve_refined`` (mid-loop re-routing for a router) when it has
-        one.
-        """
-        return self._solve_cached(formula, refined=True)
-
-    def _solve_cached(self, formula: Formula, refined: bool) -> SolverResult:
         key, renaming = canonical_fingerprint(formula)
         entry = self.cache.get(key)
         if entry is not None:
@@ -253,10 +238,7 @@ class CachedSolver:
         if self.stats is not None:
             self.stats.record_cache(hit=False)
         obs.annotate(cache="miss")
-        inner = getattr(self.solver, "solve_refined", None) if refined else None
-        result = inner(formula) if callable(inner) else self.solver.solve(
-            formula
-        )
+        result = self.solver.solve(formula)
         if result.status != UNKNOWN:
             self.cache.put(key, self._normalize(result, renaming))
         return result
@@ -338,12 +320,6 @@ class CachedBackend(CachedSolver):
     def solve(self, formula: Formula) -> SolverResult:
         started = perf_counter()
         result = super().solve(formula)
-        self._backend_tally(result.status, perf_counter() - started)
-        return result
-
-    def solve_refined(self, formula: Formula) -> SolverResult:
-        started = perf_counter()
-        result = super().solve_refined(formula)
         self._backend_tally(result.status, perf_counter() - started)
         return result
 

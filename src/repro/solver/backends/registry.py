@@ -3,8 +3,8 @@
 Spec grammar (one line, no spaces)::
 
     spec     ::= scheme [":" argument] ["?" key "=" value ("&" ...)*]
-    scheme   ::= "native" | "smtlib" | "session" | "portfolio"
-               | "route" | "cached" | <registered>
+    scheme   ::= "native" | "smtlib" | "portfolio" | "cached"
+               | <registered>
 
 Examples::
 
@@ -12,13 +12,7 @@ Examples::
     native?timeout=2               with a per-query wall budget
     smtlib:z3                      z3 subprocess over SMT-LIB (default cmd)
     smtlib:cvc5?timeout=10         cvc5, 10s budget
-    session:z3                     live incremental z3 sessions, leased
-                                   from the process-wide SessionPool
-    session:z3?reset_every=128     with a (reset) cadence
-    session:z3?pooled=0            a private (unpooled) session process
     portfolio:native+smtlib:z3     race members; '+' separates them
-    portfolio:auto                 native + a session per installed binary
-    route:z3                       per-query feature routing (see router.py)
     cached:native                  memoize definitive answers
     cached:portfolio:native+smtlib nesting composes left-to-right
 
@@ -34,8 +28,6 @@ then persists definitive answers on disk across invocations;
 from __future__ import annotations
 
 import re
-import shutil
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.solver.stats import SolverStats
@@ -43,10 +35,7 @@ from repro.solver.stats import SolverStats
 from repro.solver.backends.base import BackendError
 from repro.solver.backends.cached import CachedBackend, QueryCache
 from repro.solver.backends.native import NativeBackend
-from repro.solver.backends.pool import PooledSessionBackend
 from repro.solver.backends.portfolio import PortfolioBackend
-from repro.solver.backends.router import RouterBackend
-from repro.solver.backends.session import SessionBackend
 from repro.solver.backends.smtlib import SmtLibBackend
 
 #: A scheme factory: (rest-of-spec, default timeout, stats sink,
@@ -226,30 +215,6 @@ def _smtlib_factory(rest, *, timeout=None, stats=None, query_cache=None):
     return SmtLibBackend(command or "z3", stats=stats, **options)
 
 
-def _session_factory(rest, *, timeout=None, stats=None, query_cache=None):
-    command, options = _split_rest(rest)
-    unknown = set(options) - {"timeout", "reset_every", "pooled"}
-    if unknown:
-        raise BackendError(
-            f"session backend does not accept option(s) {sorted(unknown)}"
-        )
-    _require_numeric_options("session", options)
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
-    # Pooled by default: sessions are leased from the process-wide
-    # SessionPool, so spawns amortize across jobs and backend
-    # instances.  ``?pooled=0`` restores a private per-backend process
-    # (benchmarks use it as the spawn-per-job baseline).
-    if options.pop("pooled", 1):
-        return PooledSessionBackend(command or "z3", stats=stats, **options)
-    return SessionBackend(command or "z3", stats=stats, **options)
-
-
-def detect_solver_binaries() -> List[str]:
-    """The known SMT string-solver binaries resolvable on PATH."""
-    return [name for name in ("z3", "cvc5", "cvc4") if shutil.which(name)]
-
-
 def _portfolio_factory(
     rest, *, timeout=None, stats=None, query_cache=None,
     query_cache_max=None, on_disagreement=None, disagreement_sink=None,
@@ -258,23 +223,7 @@ def _portfolio_factory(
     # the body is split on '+' only; there are no portfolio-level query
     # options — the shared default ``timeout`` flows into every member.
     body = rest[1:] if rest.startswith(":") else rest
-    if body == "auto":
-        # Auto-detect installed solver binaries; each one races the
-        # native solver through an incremental session (the fast path).
-        member_specs = ["native"] + [
-            f"session:{binary}" for binary in detect_solver_binaries()
-        ]
-        if len(member_specs) == 1:
-            warnings.warn(
-                "portfolio:auto found no SMT solver binary on PATH "
-                "(looked for z3, cvc5, cvc4); degrading to native alone",
-                stacklevel=2,
-            )
-            return make_backend(
-                "native", timeout=timeout, stats=stats
-            )
-    else:
-        member_specs = [m for m in body.split("+") if m]
+    member_specs = [m for m in body.split("+") if m]
     if not member_specs:
         raise BackendError(
             "portfolio needs members, e.g. portfolio:native+smtlib"
@@ -296,51 +245,6 @@ def _portfolio_factory(
         stats=stats,
         on_disagreement=on_disagreement or "raise",
         disagreement_sink=disagreement_sink,
-    )
-
-
-def _route_factory(
-    rest, *, timeout=None, stats=None, query_cache=None,
-    on_disagreement=None, disagreement_sink=None,
-):
-    command, options = _split_rest(rest)
-    unknown = set(options) - {"timeout", "reset_every"}
-    if unknown:
-        raise BackendError(
-            f"route backend does not accept option(s) {sorted(unknown)}"
-        )
-    _require_numeric_options("route", options)
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
-    command = command or "z3"
-    session_options = dict(options)
-    native_timeout = options.get("timeout")
-    native_options = (
-        {} if native_timeout is None else {"timeout": native_timeout}
-    )
-
-    def native():
-        return NativeBackend(stats=stats, **native_options)
-
-    def session():
-        # Pooled: the router's session target and the portfolio's
-        # session member lease from the same process-wide pool, so a
-        # routed batch holds a handful of live processes total.
-        return PooledSessionBackend(command, stats=stats, **session_options)
-
-    # The portfolio gets its own member instances: its abandoned
-    # stragglers may still run when the router dispatches the next
-    # query straight to `native`/`session`, which are not re-entrant.
-    return RouterBackend(
-        native(),
-        session(),
-        PortfolioBackend(
-            [native(), session()],
-            stats=stats,
-            on_disagreement=on_disagreement or "raise",
-            disagreement_sink=disagreement_sink,
-        ),
-        stats=stats,
     )
 
 
@@ -375,7 +279,5 @@ def _cached_factory(
 
 register_backend("native", _native_factory)
 register_backend("smtlib", _smtlib_factory)
-register_backend("session", _session_factory)
 register_backend("portfolio", _portfolio_factory)
-register_backend("route", _route_factory)
 register_backend("cached", _cached_factory)

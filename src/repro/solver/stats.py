@@ -136,75 +136,6 @@ class BackendTally:
 
 
 @dataclass
-class SessionTally:
-    """Lifecycle counters for one incremental solver session (by name).
-
-    ``seconds`` is cumulative subprocess lifetime: each spawn's clock is
-    added when the process ends (crash, reset-kill, or close).  The
-    amortization claim of the session backend is ``queries_per_spawn``:
-    a healthy session answers many queries per subprocess spawn, where
-    the one-shot ``smtlib:`` backend is pinned at 1.
-    """
-
-    spawns: int = 0
-    restarts: int = 0
-    resets: int = 0
-    queries: int = 0
-    seconds: float = 0.0
-    #: Pool traffic (populated by ``repro.solver.backends.pool``): how
-    #: many times this session spec was leased from the shared pool,
-    #: and how many of those leases had to block on the request queue.
-    checkouts: int = 0
-    waits: int = 0
-
-    @property
-    def queries_per_spawn(self) -> float:
-        return self.queries / self.spawns if self.spawns else 0.0
-
-    def add(
-        self,
-        spawns: int = 0,
-        restarts: int = 0,
-        resets: int = 0,
-        queries: int = 0,
-        seconds: float = 0.0,
-        checkouts: int = 0,
-        waits: int = 0,
-    ) -> None:
-        self.spawns += spawns
-        self.restarts += restarts
-        self.resets += resets
-        self.queries += queries
-        self.seconds += seconds
-        self.checkouts += checkouts
-        self.waits += waits
-
-    def as_dict(self) -> dict:
-        return {
-            "spawns": self.spawns,
-            "restarts": self.restarts,
-            "resets": self.resets,
-            "queries": self.queries,
-            "seconds": self.seconds,
-            "checkouts": self.checkouts,
-            "waits": self.waits,
-            "queries_per_spawn": self.queries_per_spawn,
-        }
-
-    def merge_dict(self, other: dict) -> None:
-        """Fold a JSON-shaped tally (``as_dict`` output) into this one."""
-        self.add(
-            spawns=other.get("spawns", 0),
-            restarts=other.get("restarts", 0),
-            resets=other.get("resets", 0),
-            queries=other.get("queries", 0),
-            seconds=other.get("seconds", 0.0),
-            checkouts=other.get("checkouts", 0),
-            waits=other.get("waits", 0),
-        )
-
-
-@dataclass
 class SolverStats:
     """Aggregated statistics across queries (reset per experiment)."""
 
@@ -216,17 +147,6 @@ class SolverStats:
     #: Per-backend outcome/latency tallies, keyed by backend name
     #: (populated when solving through ``repro.solver.backends``).
     backend_tallies: Dict[str, BackendTally] = field(default_factory=dict)
-    #: Incremental-session lifecycle counters, keyed by session backend
-    #: name (populated by ``repro.solver.backends.session``).
-    session_tallies: Dict[str, SessionTally] = field(default_factory=dict)
-    #: Routing decision counters, keyed by ``"<feature>-><target>"``
-    #: (populated by ``repro.solver.backends.router``).
-    route_tallies: Dict[str, int] = field(default_factory=dict)
-    #: Circuit-breaker transition counters, keyed by
-    #: ``"<command>:<event>"`` (``open`` / ``close`` / ``reopen`` /
-    #: ``probe`` / ``short_circuit`` — populated by
-    #: ``repro.faults.breaker`` through the session backends).
-    breaker_tallies: Dict[str, int] = field(default_factory=dict)
     #: Soundness trip-wire counters, keyed by the disagreeing member
     #: pair (``"<member-a>|<member-b>"``) — populated by collect-mode
     #: portfolios and the conformance oracle when two sound-by-
@@ -299,45 +219,6 @@ class SolverStats:
         _metrics.count("backend_queries_total", backend=name, status=status)
         _metrics.observe("backend_seconds", seconds, backend=name)
 
-    def record_session(self, name: str, **delta: float) -> None:
-        """Fold session lifecycle counters for backend ``name``.
-
-        Keyword counters are those of :meth:`SessionTally.add`
-        (``spawns``, ``restarts``, ``resets``, ``queries``, ``seconds``).
-        Sessions share the tally lock with backend tallies: a session
-        racing inside a portfolio reports from a worker thread.
-        """
-        with self._tally_lock:
-            tally = self.session_tallies.get(name)
-            if tally is None:
-                tally = self.session_tallies[name] = SessionTally()
-            tally.add(**delta)
-        if _metrics.enabled():
-            for kind, amount in delta.items():
-                if amount and kind != "seconds":
-                    _metrics.count(
-                        "session_events_total",
-                        amount,
-                        session=name,
-                        kind=kind,
-                    )
-
-    def record_route(self, feature: str, target: str) -> None:
-        """Count one routing decision ``feature -> target``."""
-        key = f"{feature}->{target}"
-        with self._tally_lock:
-            self.route_tallies[key] = self.route_tallies.get(key, 0) + 1
-        _metrics.count("route_decisions_total", route=feature, target=target)
-
-    def record_breaker(self, name: str, event: str) -> None:
-        """Count one circuit-breaker event for session command ``name``
-        (``open`` / ``close`` / ``reopen`` / ``probe`` /
-        ``short_circuit``).  The breaker itself mirrors transitions into
-        obs metrics; this is the per-run bucketing for payloads."""
-        key = f"{name}:{event}"
-        with self._tally_lock:
-            self.breaker_tallies[key] = self.breaker_tallies.get(key, 0) + 1
-
     def record_disagreement(self, pair: str) -> None:
         """Count one backend disagreement for member pair ``pair``
         (``"<member-a>|<member-b>"``).  Disagreements surface from
@@ -387,25 +268,6 @@ class SolverStats:
                 name: tally.as_dict()
                 for name, tally in sorted(self.backend_tallies.items())
             }
-
-    def session_summary(self) -> Dict[str, dict]:
-        """JSON-shaped per-session tallies (for job payloads/reports)."""
-        with self._tally_lock:
-            return {
-                name: tally.as_dict()
-                for name, tally in sorted(self.session_tallies.items())
-            }
-
-    def route_summary(self) -> Dict[str, int]:
-        """JSON-shaped routing decision counts (for payloads/reports)."""
-        with self._tally_lock:
-            return dict(sorted(self.route_tallies.items()))
-
-    def breaker_summary(self) -> Dict[str, int]:
-        """JSON-shaped breaker transition counts (for payloads/reports);
-        empty on the no-trip fast path."""
-        with self._tally_lock:
-            return dict(sorted(self.breaker_tallies.items()))
 
     def disagreement_summary(self) -> Dict[str, int]:
         """JSON-shaped disagreement counts per member pair (for

@@ -36,30 +36,13 @@ def _reset_obs():
 
 @pytest.fixture(autouse=True)
 def _reset_faults():
-    """No fault plan and no tripped breakers may outlive a test.
+    """No fault plan may outlive a test.
 
-    Fault injection and circuit breakers are process-global (the plan
-    so workers can inherit it, the breakers so they persist across
-    backend instances); a chaos test that fails midway must not leave
-    later tests running under its faults or short-circuiting through
-    its opened breakers.
+    The fault plan is process-global so workers can inherit it; a chaos
+    test that fails midway must not leave later tests running under its
+    faults.
     """
     yield
     from repro import faults
 
     faults.reset()
-    faults.reset_breakers()
-
-
-@pytest.fixture(autouse=True)
-def _drain_session_pool():
-    """Close the process-global session pool after every test.
-
-    Pooled sessions deliberately outlive backends; in the test suite
-    that would leak one fake-solver process per distinct tmp-path spec,
-    so the pool is drained between tests (a no-op when it stayed empty).
-    """
-    yield
-    from repro.solver.backends import reset_session_pool
-
-    reset_session_pool()

@@ -1,5 +1,7 @@
 """Unit and property tests for the automata substrate."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.automata import (
     nfa_for,
     to_nfa,
 )
+from repro.automata.dfa import word_list
 from repro.regex import parse_regex
 from repro.regex.charclass import CharSet
 from repro.regex.matcher import RegExp
@@ -256,6 +259,27 @@ class TestEnumeration:
         assert words == ["a", "b", "ac", "bc"]
         words = list(dfa("(?:a|bb)*").words(max_count=6))
         assert words == ["", "a", "aa", "bb", "aaa", "abb"]
+
+    def test_each_label_sampled_once_per_enumeration(self, monkeypatch):
+        # A looping DFA revisits its states at every length, so its
+        # labels recur across frontier entries; sampling is pure, so
+        # one enumeration samples each distinct label once.
+        d = dfa("(?:[a-c]|xy)*z")
+        expected = word_list(d, max_count=500, max_length=6)
+        calls = Counter()
+        sample_chars = CharSet.sample_chars
+
+        def counting(label, limit=8):
+            calls[label] += 1
+            return sample_chars(label, limit)
+
+        monkeypatch.setattr(CharSet, "sample_chars", counting)
+        assert word_list(d, max_count=500, max_length=6) == expected
+        labels = {
+            label for edges in d.transitions.values() for label, _ in edges
+        }
+        assert calls and set(calls) <= labels
+        assert set(calls.values()) == {1}
 
 
 class TestMinimization:

@@ -3,9 +3,8 @@
 Every test installs a :mod:`repro.faults` plan (cleared by the autouse
 ``_reset_faults`` fixture) and asserts the system *recovers* — retried
 jobs succeed, poison jobs quarantine without starving their coalesced
-twins, a wedged solver trips its breaker and is re-admitted by the
-half-open probe, corrupt store entries are evicted and re-solved, and a
-serve client survives a daemon restart.  Faults are never active by
+twins, corrupt store entries are evicted and re-solved, and a serve
+client survives a daemon restart.  Faults are never active by
 default: with no plan installed all sites are inert.
 
 Pool-mode tests use only built-in job kinds (monkeypatched kinds do not
@@ -16,8 +15,6 @@ respawned worker — which is exactly what lets a retried job succeed.
 
 import os
 import socket
-import stat
-import textwrap
 import time
 
 import pytest
@@ -25,17 +22,11 @@ import pytest
 from repro import faults
 from repro.automata import dfa_for_pattern
 from repro.automata.cache import DFA_CODEC
-from repro.automata.build import erase_captures
-from repro.constraints import InRe, StrVar
 from repro.diskstore import DiskStore
-from repro.faults import get_breaker, reset_breakers
-from repro.regex import parse_regex
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServeServer
 from repro.service.jobs import SolveJob
 from repro.service.runner import BatchRunner, RunnerConfig
-from repro.solver import SolverStats, UNKNOWN, UNSAT
-from repro.solver.backends import PooledSessionBackend, SessionPool
 from repro.solver.backends.cached import CachedResult, QUERY_CODEC
 
 from serve_testing import _STARTED, start_daemon, stop_started, wait_until
@@ -45,38 +36,6 @@ from serve_testing import _STARTED, start_daemon, stop_started, wait_until
 def _serve_teardown():
     yield
     stop_started()
-
-
-def membership(pattern: str, var_name: str = "x"):
-    node = erase_captures(parse_regex(pattern, "").body)
-    return InRe(StrVar(var_name), node)
-
-
-#: Interactive fake solver: answers every check-sat with unsat (sound
-#: under the guarded encoding, so the session trusts it directly).
-_FAKE = textwrap.dedent(
-    '''\
-    #!/usr/bin/env python3
-    import re, sys
-    for line in sys.stdin:
-        line = line.strip()
-        if line == "(check-sat)":
-            print("unsat", flush=True)
-        elif line.startswith("(get-value"):
-            print("()", flush=True)
-        else:
-            m = re.match(r'\\(echo "(.*)"\\)', line)
-            if m:
-                print(m.group(1), flush=True)
-    '''
-)
-
-
-def fake_solver(tmp_path, name="fakechaos"):
-    path = tmp_path / name
-    path.write_text(_FAKE)
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
 
 
 class TestWorkerKillRetry:
@@ -235,58 +194,6 @@ class TestPoisonQuarantine:
         assert health["quarantined"] == 1  # one flight, not one per twin
         assert health["retries"] >= 1
         assert health["runner"]["worker_crashes"] >= 2
-
-
-class TestBreakerRecovery:
-    def test_wedged_session_trips_breaker_then_half_open_probe_readmits(
-        self, tmp_path
-    ):
-        cmd = fake_solver(tmp_path)
-        reset_breakers()
-        # Tuned thresholds must exist before the backend resolves its
-        # breaker: the registry hands out the first-created instance.
-        breaker = get_breaker(
-            f"session:{cmd}", fail_threshold=2, cooldown_s=0.4
-        )
-        pool = SessionPool()
-        stats = SolverStats()
-        backend = PooledSessionBackend(
-            cmd, timeout=0.2, stats=stats, pool=pool
-        )
-        faults.install(
-            {
-                "rules": [
-                    {"site": "session:query", "action": "wedge", "count": 2}
-                ]
-            }
-        )
-        try:
-            formula = membership("a+b")
-            # Two wedged queries: each waits out the session timeout,
-            # kills the wedged process, and feeds the breaker a failure.
-            assert backend.solve(formula).status == UNKNOWN
-            assert backend.solve(formula).status == UNKNOWN
-            assert breaker.snapshot()["state"] == "open"
-            assert backend.circuit_open is True
-            # Within the cool-down every query short-circuits — no
-            # session traffic, UNKNOWN with an explicit reason.
-            result = backend.solve(formula)
-            assert result.status == UNKNOWN
-            assert "circuit open" in backend.last_error
-            assert breaker.snapshot()["short_circuits"] >= 1
-            time.sleep(0.45)
-            assert backend.circuit_open is False  # probe traffic admitted
-            # The half-open probe reaches a fresh (un-wedged: the rule's
-            # fire budget is spent) session and closes the breaker.
-            assert backend.solve(formula).status == UNSAT
-            snapshot = breaker.snapshot()
-            assert snapshot["state"] == "closed"
-            assert snapshot["trips"] == 1
-            tallies = stats.breaker_summary()
-            assert tallies.get(f"session:{cmd}:short_circuit", 0) >= 1
-            assert tallies.get(f"session:{cmd}:open", 0) == 1
-        finally:
-            pool.close()
 
 
 class TestCorruptStoreEviction:
@@ -451,5 +358,4 @@ class TestServeRecovery:
         assert health["ready"] is True
         assert health["draining"] is False
         assert health["runner"]["mode"] == "inline"
-        assert "breakers" in health
         assert "faults" not in health  # only reported when a plan is live

@@ -152,3 +152,31 @@ class TestGlobalAndStickyCorners:
         regexp.last_index = 99
         assert regexp.exec("aaa") is None
         assert regexp.last_index == 0
+
+
+class TestEcmaRegExpNotes:
+    """The worked examples of ECMA-262's RegExp pattern semantics notes
+    (§22.2.2), with ``undefined`` as ``None``."""
+
+    @pytest.mark.parametrize(
+        "source, subject, expected",
+        [
+            (r"((a)|b)+", "ab", ["ab", "b", None]),
+            (
+                r"(z)((a+)?(b+)?(c))*",
+                "zaacbbbcac",
+                ["zaacbbbcac", "z", "ac", "a", None, "c"],
+            ),
+            (r"(a*)*", "b", ["", None]),
+            (r"(a*)b\1+", "baaaac", ["b", ""]),
+            (r"(?=(a+))", "baaabac", ["", "aaa"]),
+            (r"(?=(a+))a*b\1", "baaabac", ["aba", "a"]),
+            (
+                r"(.*?)a(?!(a+)b\2c)\2(.*)",
+                "baaabaac",
+                ["baaabaac", "ba", None, "abaac"],
+            ),
+        ],
+    )
+    def test_spec_note_example(self, source, subject, expected):
+        assert exec_list(source, subject) == expected

@@ -1,11 +1,8 @@
 """Robustness satellites riding along with the cluster PR.
 
-Four independent hardening surfaces, each with the failure mode it
-guards against:
+Independent hardening surfaces, each with the failure mode it guards
+against:
 
-- the circuit breaker's half-open gate must admit **exactly one**
-  probe under concurrency — two racing probes would double-tap a
-  recovering solver binary;
 - retry backoff jitter must be deterministic *across processes* (it
   is a blake2b hash, not ``random``), or the chaos suite's
   byte-identical-report property dies;
@@ -31,7 +28,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro import obs
-from repro.faults.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.faults.retry import RetryPolicy
 from repro.serve.client import ServeClient
 from repro.service import jobs
@@ -57,57 +53,6 @@ def _serve_teardown():
 @pytest.fixture
 def gate_kind(monkeypatch):
     monkeypatch.setitem(jobs._JOB_KINDS, "gate", GateJob)
-
-
-class TestBreakerHalfOpenRace:
-    def test_exactly_one_probe_admitted_under_concurrency(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            "session:test",
-            fail_threshold=1,
-            cooldown_s=5.0,
-            clock=lambda: clock[0],
-        )
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock[0] = 6.0  # cooldown elapsed: next allow() opens the gate
-        barrier = threading.Barrier(8)
-        admitted = []
-        lock = threading.Lock()
-
-        def contender():
-            barrier.wait()
-            ok = breaker.allow()
-            with lock:
-                admitted.append(ok)
-
-        threads = [
-            threading.Thread(target=contender) for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert sum(admitted) == 1  # one probe, seven short-circuits
-        assert breaker.state == HALF_OPEN
-        assert breaker.short_circuits == 7
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
-    def test_stale_probe_frees_the_slot(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            "session:test",
-            fail_threshold=1,
-            cooldown_s=5.0,
-            clock=lambda: clock[0],
-        )
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.allow() is True  # the probe
-        assert breaker.allow() is False  # slot taken
-        clock[0] = 12.0  # probe's caller never reported back
-        assert breaker.allow() is True  # stale probe reclaimed
 
 
 class TestJitterDeterminism:

@@ -287,26 +287,6 @@ class TestOverload:
             assert len(done) == 2
 
 
-class TestDrainReleasesResources:
-    def test_drain_closes_pooled_solver_sessions(self, tmp_path):
-        from repro.solver.backends import get_session_pool
-        from test_session_pool import fake_solver
-
-        cmd = fake_solver(tmp_path, verdict="sat")
-        server, sock_path = start_daemon(tmp_path)
-        with ServeClient(socket_path=sock_path, timeout=60.0) as client:
-            results = client.run(
-                [{"kind": "solve", "pattern": "a+",
-                  "backend": f"session:{cmd}"}]
-            )
-        assert results[0].status == "ok"
-        pool = get_session_pool()
-        assert pool.idle_count(cmd) == 1  # live solver process parked
-        server.stop()
-        # The drain closed the parked session — no leaked Popen.
-        assert pool.idle_count(cmd) == 0
-
-
 class TestSigtermDrain:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         sock_path = str(tmp_path / "drain.sock")
