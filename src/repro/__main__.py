@@ -147,7 +147,8 @@ def _finish_obs(obs_run) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro.model import find_matching_input, find_non_matching_input
+    from repro.model import solve_input
+    from repro.solver import SAT, UNSAT
 
     if _check_backend_spec(args.backend):
         return 2
@@ -164,39 +165,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     obs_run = _start_obs(args)
     try:
-        if args.negate:
-            word = find_non_matching_input(
-                args.pattern, args.flags, backend=backend
-            )
-            status = 1 if word is None else 0
-            result = None
-        else:
-            result = find_matching_input(
-                args.pattern, args.flags, backend=backend
-            )
-            word = result[0] if result is not None else None
-            status = 1 if result is None else 0
+        result, word, captures = solve_input(
+            args.pattern, args.flags, backend=backend, negate=args.negate
+        )
     except BaseException:
         if obs_run is not None:
             obs_run.abort()
         raise
     _finish_obs(obs_run)
-    if args.negate:
-        if word is None:
-            print("no non-matching input found (pattern may match Σ*)")
-            return 1
-        print(f"input:  {word!r}")
-        return status
-    if result is None:
-        print("unsatisfiable (or solver budget exhausted)")
+    if result.status == UNSAT:
+        print(
+            "unsatisfiable (the pattern matches every input)"
+            if args.negate else "unsatisfiable"
+        )
         return 1
-    word, captures = result
+    if result.status != SAT:
+        cause = result.unknown_cause
+        print(f"unknown ({cause})" if cause else "unknown")
+        return 1
     print(f"input:  {word!r}")
     for index in sorted(captures):
         value = captures[index]
         shown = "undefined" if value is None else repr(value)
         print(f"  C{index} = {shown}")
-    return status
+    return 0
 
 
 def _cmd_exec(args: argparse.Namespace) -> int:

@@ -37,6 +37,12 @@ class Dfa:
     _step_index: Dict[int, _StateIndex] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: Per-state memo rows ``{char: target}`` in front of the index:
+    #: membership tests re-step the same few characters from the same
+    #: states many times.  Shared by the same views as ``_step_index``.
+    _rows: Dict[int, Dict[str, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: Memoized :meth:`live_states` result.  Depends on ``accepts`` as
     #: well as ``transitions``, so views with different accepting sets
     #: (complement, right quotients) must NOT share it — they start
@@ -65,6 +71,15 @@ class Dfa:
         return index
 
     def step(self, state: int, ch: str) -> int:
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = {}
+        target = row.get(ch)
+        if target is None:
+            target = row[ch] = self._lookup(state, ch)
+        return target
+
+    def _lookup(self, state: int, ch: str) -> int:
         lows, highs, targets = self._state_index(state)
         cp = ord(ch)
         i = bisect_right(lows, cp) - 1
@@ -73,9 +88,16 @@ class Dfa:
         raise AssertionError("complete DFA is missing a transition")
 
     def accepts_word(self, word: str) -> bool:
+        rows = self._rows
         state = self.start
         for ch in word:
-            state = self.step(state, ch)
+            row = rows.get(state)
+            if row is None:
+                row = rows[state] = {}
+            target = row.get(ch)
+            if target is None:
+                target = row[ch] = self._lookup(state, ch)
+            state = target
         return state in self.accepts
 
     def live_states(self) -> FrozenSet[int]:
@@ -125,6 +147,7 @@ class Dfa:
             accepts=self.accepts,
             transitions=self.transitions,
             _step_index=self._step_index,
+            _rows=self._rows,
             _live_states=self._live_states,
         )
 
@@ -141,6 +164,7 @@ class Dfa:
             accepts=accepts,
             transitions=self.transitions,
             _step_index=self._step_index,
+            _rows=self._rows,
         )
 
     def _runs_to_accept(self, state: int, word: str) -> bool:
@@ -209,6 +233,7 @@ class Dfa:
             accepts=frozenset(range(base.n_states)) - base.accepts,
             transitions=base.transitions,
             _step_index=base._step_index,
+            _rows=base._rows,
         )
 
     def intersect(self, other: "Dfa") -> "Dfa":

@@ -38,6 +38,19 @@ class StrVar(Term):
 
     name: str
 
+    def __post_init__(self) -> None:
+        # Variables key every union-find and model dict of the solver;
+        # the hash is the dataclass's own, computed once.
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from the name, so a pickled variable gets the hash of
+        # the process that loads it.
+        return (StrVar, (self.name,))
+
     def __repr__(self) -> str:
         return self.name
 

@@ -13,6 +13,7 @@ from repro.model.api import (
     SymbolicRegExp,
     find_matching_input,
     find_non_matching_input,
+    solve_input,
 )
 from repro.model.backrefs import BackrefType, classify_backrefs
 from repro.model.cegar import CapturingConstraint, CegarResult, CegarSolver
@@ -37,4 +38,5 @@ __all__ = [
     "find_matching_input",
     "find_non_matching_input",
     "model_membership",
+    "solve_input",
 ]

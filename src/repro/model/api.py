@@ -238,6 +238,41 @@ class SymbolicRegExp:
         return f"SymbolicRegExp(/{self.source}/{self.flags})"
 
 
+def solve_input(
+    source: str,
+    flags: str = "",
+    extra: Tuple[Formula, ...] = (),
+    config: Optional[ModelConfig] = None,
+    cegar: Optional[CegarSolver] = None,
+    backend: Optional[str] = None,
+    negate: bool = False,
+) -> Tuple[CegarResult, Optional[str], Dict[int, Optional[str]]]:
+    """Solve for an input the regex matches (or, with ``negate``, does
+    not match), CEGAR-validated.
+
+    Returns the loop's :class:`CegarResult`, which tells UNSAT from
+    UNKNOWN and names the cause of an UNKNOWN, with the input and the
+    match's captures ``{i: capture_i}`` when it is SAT (``None`` and
+    ``{}`` otherwise; a non-match has no captures).  ``backend`` is a
+    solver backend spec (ignored when an explicit ``cegar`` is
+    supplied)."""
+    regexp = SymbolicRegExp(source, flags, config)
+    input_var = StrVar("input!gen")
+    model = regexp.exec_model(input_var)
+    if negate:
+        formula, constraint = model.no_match_formula, model.negative_constraint
+    else:
+        formula, constraint = model.match_formula, model.constraint
+    solver = cegar or CegarSolver(backend=backend)
+    result = solver.solve(conj([formula, *extra]), [constraint])
+    if result.status != SAT:
+        return result, None, {}
+    captures = {} if negate else {
+        i: result.model[var] for i, var in sorted(model.captures.items())
+    }
+    return result, result.model.eval_term(input_var), captures
+
+
 def find_matching_input(
     source: str,
     flags: str = "",
@@ -248,23 +283,14 @@ def find_matching_input(
 ) -> Optional[Tuple[str, Dict[int, Optional[str]]]]:
     """Solve for an input that the regex matches (CEGAR-validated).
 
-    Returns ``(input, {i: capture_i})`` or ``None``.  The workhorse of the
-    quickstart example and of tests: a one-call version of the paper's
-    pipeline (model → solve → refine).  ``backend`` is a solver backend
-    spec (ignored when an explicit ``cegar`` is supplied)."""
-    regexp = SymbolicRegExp(source, flags, config)
-    input_var = StrVar("input!gen")
-    model = regexp.exec_model(input_var)
-    problem = conj([model.match_formula, *extra])
-    solver = cegar or CegarSolver(backend=backend)
-    result = solver.solve(problem, [model.constraint])
-    if result.status != SAT:
-        return None
-    word = result.model.eval_term(input_var)
-    captures = {
-        i: result.model[var] for i, var in sorted(model.captures.items())
-    }
-    return word, captures
+    Returns ``(input, {i: capture_i})``, or ``None`` when the solver
+    found none (UNSAT or UNKNOWN: :func:`solve_input` tells them
+    apart).  The workhorse of the quickstart example and of tests: a
+    one-call version of the paper's pipeline (model → solve → refine)."""
+    result, word, captures = solve_input(
+        source, flags, extra, config, cegar, backend
+    )
+    return None if result.status != SAT else (word, captures)
 
 
 def find_non_matching_input(
@@ -276,12 +302,6 @@ def find_non_matching_input(
     backend: Optional[str] = None,
 ) -> Optional[str]:
     """Solve for an input the regex does *not* match (CEGAR-validated)."""
-    regexp = SymbolicRegExp(source, flags, config)
-    input_var = StrVar("input!gen")
-    model = regexp.exec_model(input_var)
-    problem = conj([model.no_match_formula, *extra])
-    solver = cegar or CegarSolver(backend=backend)
-    result = solver.solve(problem, [model.negative_constraint])
-    if result.status != SAT:
-        return None
-    return result.model.eval_term(input_var)
+    return solve_input(
+        source, flags, extra, config, cegar, backend, negate=True
+    )[1]

@@ -176,20 +176,7 @@ class CharSet:
         the interval capped at a few thousand code points (larger intervals
         already cover both cases of nearly everything they fold to).
         """
-        extra: list[Interval] = []
-        for lo, hi in self.intervals:
-            span = hi - lo + 1
-            scan_hi = hi if span <= 4096 else lo + 4095
-            for cp in range(lo, scan_hi + 1):
-                ch = chr(cp)
-                for variant in (ch.upper(), ch.lower()):
-                    if len(variant) == 1 and variant != ch:
-                        vcp = ord(variant)
-                        if vcp <= MAX_CODEPOINT:
-                            extra.append((vcp, vcp))
-        if not extra:
-            return self
-        return CharSet(_normalise(self.intervals + tuple(extra)))
+        return _case_closure(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         def show(cp: int) -> str:
@@ -202,6 +189,27 @@ class CharSet:
         ]
         suffix = ", ..." if len(self.intervals) > 16 else ""
         return f"CharSet[{', '.join(parts)}{suffix}]"
+
+
+@lru_cache(maxsize=1024)
+def _case_closure(charset: CharSet) -> CharSet:
+    """:meth:`CharSet.case_closure`, memoized: a program's case-insensitive
+    patterns fold the same few classes over and over, and a scan calls
+    ``upper``/``lower`` on up to 4,096 code points per interval."""
+    extra: list[Interval] = []
+    for lo, hi in charset.intervals:
+        span = hi - lo + 1
+        scan_hi = hi if span <= 4096 else lo + 4095
+        for cp in range(lo, scan_hi + 1):
+            ch = chr(cp)
+            for variant in (ch.upper(), ch.lower()):
+                if len(variant) == 1 and variant != ch:
+                    vcp = ord(variant)
+                    if vcp <= MAX_CODEPOINT:
+                        extra.append((vcp, vcp))
+    if not extra:
+        return charset
+    return CharSet(_normalise(charset.intervals + tuple(extra)))
 
 
 def partition(sets: Sequence[CharSet]) -> list[CharSet]:

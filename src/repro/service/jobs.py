@@ -28,7 +28,7 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
@@ -213,7 +213,12 @@ class JobResult:
     retries: int = 0
 
     def to_spec(self) -> dict:
-        return asdict(self)
+        """The result as a dict of its fields.  The payload is copied one
+        level deep (``asdict`` would copy every nested value, and no
+        caller changes them)."""
+        spec = {name: getattr(self, name) for name in _RESULT_FIELDS}
+        spec["payload"] = dict(self.payload)
+        return spec
 
     @classmethod
     def from_spec(cls, spec: dict) -> "JobResult":
@@ -231,6 +236,8 @@ class JobResult:
             spec["payload"] = _interned_payload(payload)
         return cls(**spec)
 
+
+_RESULT_FIELDS = tuple(f.name for f in fields(JobResult))
 
 #: String payload values up to this length are interned on decoding.
 _INTERN_MAX = 64

@@ -189,11 +189,14 @@ class Budget:
     The solver charges a unit per core or prefix judged, literal
     ingested, eight trail entries undone, restamp
     (:meth:`_Core._touch`), DFS assignment, settle step and split step,
-    and one per character of each membership test on a candidate word.  :meth:`exhausted` is
-    asked wherever the search may stop.  Units are a function of the
-    work done, so a query that runs out of them stops at the same point
-    on every run; only when ``timeout`` seconds pass first does the
-    cause read ``timeout``, which depends on the machine's load.
+    and one per character of each membership test on a candidate word
+    (a split candidate is charged so although its automaton steps one
+    character at a time, see :meth:`_Core._enumerate_splits`).
+    :meth:`exhausted` is asked wherever the search may stop.  Units are
+    a function of the work done, so a query that runs out of them stops
+    at the same point on every run; only when ``timeout`` seconds pass
+    first does the cause read ``timeout``, which depends on the
+    machine's load.
     """
 
     __slots__ = ("allowance", "spent", "deadline", "cause")
@@ -310,8 +313,14 @@ class _Core:
         #: Every regex the core has seen, by ``id``: stamps and memos
         #: name regexes by ``id``, so none may be freed while they live.
         self._regexes: Dict[int, object] = {}
-        #: Class rep → lazy/eager constraint automaton (or ``None``).
-        self._split_dfa_cache: Dict[StrVar, Optional[object]] = {}
+        #: The DFA of each of those regexes, by ``id`` (see :meth:`_dfa`).
+        self._dfas: Dict[int, Dfa] = {}
+        #: Class rep → :func:`_stepper` of its constraint automaton (or
+        #: ``None``), for the current search's split enumerations.
+        self._split_steppers: Dict[StrVar, Optional[tuple]] = {}
+        #: Split part → its class (the classes do not change while a
+        #: search runs).
+        self._split_classes: Dict[StrVar, _Class] = {}
         #: The budget the current query spends from (the core is popped
         #: per query, so no two threads share one).
         self.budget = Budget(solver.timeout)
@@ -462,9 +471,19 @@ class _Core:
     def _forget(self) -> None:
         for memo in (
             self._stamps, self._consts_ok, self._acyclic, self._nodes,
-            self._numbers, self._keys, self._regexes,
+            self._numbers, self._keys, self._regexes, self._dfas,
         ):
             memo.clear()
+
+    def _dfa(self, regex) -> Dfa:
+        """``dfa_for(regex)``, resolved once per regex object: the
+        compilation cache is keyed by the AST's structural hash, which
+        walks the whole tree on every lookup."""
+        dfa = self._dfas.get(id(regex))
+        if dfa is None:
+            self._regexes[id(regex)] = regex
+            dfa = self._dfas[id(regex)] = dfa_for(regex)
+        return dfa
 
     def memo_size(self) -> int:
         return len(self._stamps) + len(self._numbers)
@@ -626,7 +645,7 @@ class _Core:
             cls = self._touch(self._class(atoms[0]), (positive, id(regex)))
             self._append(cls.pos_regexes if positive else cls.neg_regexes, regex)
         elif len(atoms) == 1 and isinstance(atoms[0], StrConst):
-            accepted = dfa_for(regex).accepts_word(atoms[0].value)
+            accepted = self._dfa(regex).accepts_word(atoms[0].value)
             if accepted != positive:
                 raise _UnsatCore()
         else:
@@ -830,7 +849,8 @@ class _Core:
         self.settle_guess = None
         self.unknown_cause = None
         self.structurally_refuted = True
-        self._split_dfa_cache = {}
+        self._split_steppers = {}
+        self._split_classes = {}
         if not self._load(literals):
             return UNSAT, None
         mark = len(self._trail)
@@ -918,10 +938,10 @@ class _Core:
         if cls.stamp in self._consts_ok:
             return
         for regex in cls.pos_regexes:
-            if not dfa_for(regex).accepts_word(cls.const):
+            if not self._dfa(regex).accepts_word(cls.const):
                 raise _UnsatCore()
         for regex in cls.neg_regexes:
-            if dfa_for(regex).accepts_word(cls.const):
+            if self._dfa(regex).accepts_word(cls.const):
                 raise _UnsatCore()
         if cls.const in cls.excluded:
             raise _UnsatCore()
@@ -957,7 +977,7 @@ class _Core:
         for regex in cls.pos_regexes:
             options = _union_options(regex, threshold)
             if options is None:
-                automata.append(dfa_for(regex))
+                automata.append(self._dfa(regex))
             else:
                 automata.append(
                     lazy_union_all([dfa_for(opt) for opt in options])
@@ -1194,7 +1214,7 @@ class _Core:
             target = self._class(unknown)
             for regex in cls.pos_regexes:
                 quotient = (
-                    dfa_for(regex)
+                    self._dfa(regex)
                     .quotient_left(prefix)
                     .quotient_right(suffix)
                 )
@@ -1285,7 +1305,7 @@ class _Core:
                 for member in order[index].members:
                     trial.set(member, word)
                 if all(
-                    _holds(check, trial, budget)
+                    _holds(check, trial, budget, self._dfa)
                     for check in checks_by_level.get(index, ())
                 ):
                     result = assign(index + 1, trial)
@@ -1392,10 +1412,13 @@ class _Core:
                     pending_splits.append((cls.rep, cls.definition))
                     progress = True
                     continue
-                term = _to_term(cls.definition)
-                if not self._evaluable(term, model):
+                if not all(
+                    self._evaluable(part, model) for part in cls.definition
+                ):
                     continue
-                if not self._apply_class_value(cls, term, model):
+                if not self._apply_class_value(
+                    cls, _to_term(cls.definition), model
+                ):
                     return None
                 pending_defined.remove(cls)
                 progress = True
@@ -1449,8 +1472,10 @@ class _Core:
 
     def _evaluable(self, term: Term, model: Model) -> bool:
         if isinstance(term, StrVar):
+            if term in model.assignment:
+                return True
             cls = self._class(term)
-            return term in model or cls.const is not None or cls.undef
+            return cls.const is not None or cls.undef
         if isinstance(term, Concat):
             return all(self._evaluable(p, model) for p in term.parts)
         return True
@@ -1466,11 +1491,11 @@ class _Core:
             return False
         for regex in cls.pos_regexes:
             self.budget.spent += len(value)
-            if not dfa_for(regex).accepts_word(value):
+            if not self._dfa(regex).accepts_word(value):
                 return False
         for regex in cls.neg_regexes:
             self.budget.spent += len(value)
-            if dfa_for(regex).accepts_word(value):
+            if self._dfa(regex).accepts_word(value):
                 return False
         for member in cls.members:
             model.set(member, value)
@@ -1487,13 +1512,9 @@ class _Core:
         exclusions.  Yields {class-rep: substring} assignments, and
         stops early once the budget is exhausted."""
         budget = self.budget
-
-        def part_dfa(rep: StrVar) -> Optional[object]:
-            if rep not in self._split_dfa_cache:
-                self._split_dfa_cache[rep] = self._automaton_for(
-                    self._class(rep)
-                )
-            return self._split_dfa_cache[rep]
+        steppers = self._split_steppers
+        classes = self._split_classes
+        assigned = model.assignment
 
         def rec(
             pos: int, idx: int, chosen: Dict[StrVar, str]
@@ -1510,30 +1531,48 @@ class _Core:
                 return
             if isinstance(part, Undef):
                 return
-            rep = self._find(part)
-            cls = self._class(rep)
-            fixed: Optional[str] = None
-            if rep in chosen:
-                fixed = chosen[rep]
-            elif cls.const is not None:
+            cls = classes.get(part)
+            if cls is None:
+                cls = classes[part] = self._class(part)
+            rep = cls.rep
+            fixed = chosen.get(rep)
+            if fixed is None:
                 fixed = cls.const
-            elif rep in model:
-                fixed = model[rep]
+            if fixed is None:
+                fixed = assigned.get(rep)
             if fixed is not None:
                 if fixed is not UNDEF and value.startswith(fixed, pos):
                     yield from rec(pos + len(fixed), idx + 1, chosen)
                 return
-            dfa = part_dfa(rep)
+            # The part's automaton steps once per character of the
+            # growing candidate ``value[pos:end]``, and stops at a dead
+            # state.  Each end is charged what a membership test of the
+            # candidate from the start state would cost.
+            stepper = steppers.get(rep, _PENDING)
+            if stepper is _PENDING:
+                automaton = self._automaton_for(cls)
+                stepper = steppers[rep] = (
+                    None if automaton is None else _stepper(automaton)
+                )
+            excluded = cls.excluded
+            if stepper is not None:
+                state, step, accepting, alive = stepper
             for end in range(pos, len(value) + 1):
+                if stepper is not None:
+                    if end > pos:
+                        state = step(state, value[end - 1])
+                    if not alive(state):
+                        _charge_rejections(budget, value, pos, end, excluded)
+                        return
                 budget.spent += 1
                 if budget.exhausted():
                     return
                 sub = value[pos:end]
-                if sub in cls.excluded:
+                if sub in excluded:
                     continue
-                if dfa is not None:
+                if stepper is not None:
                     budget.spent += len(sub)
-                    if not dfa.accepts_word(sub):
+                    if not accepting(state):
                         continue
                 chosen[rep] = sub
                 yield from rec(end, idx + 1, chosen)
@@ -1543,12 +1582,49 @@ class _Core:
 
     def _verify(self, model: Model) -> Optional[Model]:
         for literal in self.literals:
-            if not _holds(literal, model, self.budget):
+            if not _holds(literal, model, self.budget, self._dfa):
                 return None
         for check in self.checks:
-            if not _holds(check, model, self.budget):
+            if not _holds(check, model, self.budget, self._dfa):
                 return None
         return model
+
+
+def _stepper(automaton) -> tuple:
+    """``(start, step, accepting, alive)`` of a :class:`Dfa` or a lazy
+    space.  No word is accepted from a state that is not ``alive``."""
+    if isinstance(automaton, Dfa):
+        return (
+            automaton.start,
+            automaton.step,
+            automaton.accepts.__contains__,
+            automaton.live_states().__contains__,
+        )
+    return (
+        automaton.start,
+        automaton.step,
+        automaton.is_accepting,
+        automaton.plausible,
+    )
+
+
+def _charge_rejections(
+    budget: Budget, value: str, pos: int, start: int, excluded: set
+) -> None:
+    """Charge the split candidates ``value[pos:end]`` for every ``end``
+    from ``start`` on as membership tests that reject them, stopping
+    where the budget runs out.  The wall clock is not read: no answer
+    can come of these candidates, and the next check reads it."""
+    spent, allowance = budget.spent, budget.allowance
+    for end in range(start, len(value) + 1):
+        spent += 1
+        if spent > allowance:
+            budget.spent = spent
+            budget.exhausted()
+            return
+        if not excluded or value[pos:end] not in excluded:
+            spent += end - pos
+    budget.spent = spent
 
 
 def _membership_key(cls: _Class):
@@ -1663,18 +1739,22 @@ def _to_term(parts: Iterable[Term]) -> Term:
 
 
 def _holds(
-    formula: Formula, model: Model, budget: Optional[Budget] = None
+    formula: Formula,
+    model: Model,
+    budget: Optional[Budget] = None,
+    dfa_of: Optional[Callable[[object], Dfa]] = None,
 ) -> bool:
     """Evaluate a (NNF) formula under a total assignment, charging each
-    membership test's characters to ``budget``."""
+    membership test's characters to ``budget``.  ``dfa_of`` resolves a
+    membership's regex (:func:`dfa_for` by default)."""
     if isinstance(formula, BoolLit):
         return formula.value
     if isinstance(formula, Not):
-        return not _holds(formula.operand, model, budget)
+        return not _holds(formula.operand, model, budget, dfa_of)
     if isinstance(formula, And):
-        return all(_holds(op, model, budget) for op in formula.operands)
+        return all(_holds(op, model, budget, dfa_of) for op in formula.operands)
     if isinstance(formula, Or):
-        return any(_holds(op, model, budget) for op in formula.operands)
+        return any(_holds(op, model, budget, dfa_of) for op in formula.operands)
     if isinstance(formula, Eq):
         try:
             return model.eval_term(formula.left) == model.eval_term(
@@ -1691,7 +1771,7 @@ def _holds(
             return False
         if budget is not None:
             budget.spent += len(value)
-        return dfa_for(formula.regex).accepts_word(value)
+        return (dfa_of or dfa_for)(formula.regex).accepts_word(value)
     raise TypeError(f"cannot evaluate {formula!r}")
 
 

@@ -52,7 +52,10 @@ class Model:
         if isinstance(term, Concat):
             pieces = []
             for part in term.parts:
-                value = self.eval_term(part)
+                if isinstance(part, StrVar):
+                    value = self.assignment.get(part, "")
+                else:
+                    value = self.eval_term(part)
                 if value is UNDEF:
                     raise EvalError(f"⊥ inside concatenation: {part!r}")
                 pieces.append(value)

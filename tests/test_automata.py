@@ -80,6 +80,35 @@ class TestBasics:
             to_nfa(parse_regex(r"^a").body)
 
 
+class TestStepMemo:
+    """``Dfa.step`` answers from a per-state ``{char: target}`` row in
+    front of the bisect index."""
+
+    def test_memo_agrees_with_the_index(self):
+        automaton = dfa(r"(?:[a-f]\d|x[^a]*)+y?")
+        for state in range(automaton.n_states):
+            for ch in "a1fxyz0\u00e9\U0001f600" * 2:
+                assert automaton.step(state, ch) == automaton._lookup(state, ch)
+        assert automaton._rows
+
+    @given(st.text(alphabet="abcxy019", max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_word_agrees_with_stepping(self, word):
+        automaton = dfa(r"(?:ab|c+)*x?[0-9]")
+        state = automaton.start
+        for ch in word:
+            state = automaton._lookup(state, ch)
+        assert automaton.accepts_word(word) == (state in automaton.accepts)
+
+    def test_views_share_the_rows(self):
+        total = dfa("a+b")
+        assert total.complement()._rows is total._rows
+        assert total.quotient_left("a")._rows is total._rows
+        assert total.quotient_right("b")._rows is total._rows
+        assert total.quotient_left("a").accepts_word("ab")
+        assert "b" in total._rows[total.step(total.start, "a")]
+
+
 class TestEraseCaptures:
     def test_erase_is_deep(self):
         node = parse_regex(r"((a)|b)*(c)").body

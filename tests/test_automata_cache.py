@@ -72,6 +72,14 @@ class TestBlobRoundtrip:
         rebuilt = dfa_from_blob(dfa_to_blob(dfa))
         assert rebuilt.equivalent(dfa)
 
+    def test_step_memo_is_not_persisted(self, clean_automata):
+        dfa = dfa_for_pattern(r"(?:ab|ba)+c?")
+        blob = dfa_to_blob(dfa)
+        assert dfa.accepts_word("abbac")
+        assert dfa._rows
+        assert dfa_to_blob(dfa) == blob
+        assert not dfa_from_blob(blob)._rows
+
     def test_version_mismatch_rejected(self, clean_automata):
         blob = list(dfa_to_blob(dfa_for_pattern("a+")))
         blob[1] = STORE_VERSION + 1

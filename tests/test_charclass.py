@@ -128,6 +128,61 @@ class TestCaseClosure:
         assert "Q" in closed and "q" in closed
 
 
+def _scanned_closure(cs):
+    """The closure by a fresh scan, as ``case_closure`` computed it
+    before it was memoized: each interval is scanned up to 4,096 code
+    points from its low end."""
+    extra = []
+    for lo, hi in cs.intervals:
+        for cp in range(lo, min(hi, lo + 4095) + 1):
+            ch = chr(cp)
+            for variant in (ch.upper(), ch.lower()):
+                if len(variant) == 1 and variant != ch:
+                    extra.append((ord(variant), ord(variant)))
+    return CharSet.of_intervals(cs.intervals + tuple(extra)) if extra else cs
+
+
+class TestMemoizedCaseClosure:
+    SETS = [
+        CharSet.of("a"),
+        CharSet.of("aA"),
+        CharSet.of_range("a", "z"),
+        CharSet.of("é_1"),
+        DIGIT,
+        WORD,
+        # Negated classes: one interval far wider than the scan cap.
+        CharSet.of("a").complement(),
+        CharSet.of_range("a", "z").complement(),
+        NOT_WORD,
+        CLASS_ESCAPES["S"],
+        DOT,
+        # Wider than the cap, with letters only past it: not folded.
+        CharSet.of_range(0x0100, 0x0100 + 4095).union(
+            CharSet.of_range(0x2C00, 0x2C5F)
+        ),
+        CharSet.of_range(0x2000 - 4096, 0x2C5F),
+        CharSet.empty(),
+    ]
+
+    @pytest.mark.parametrize("cs", SETS, ids=repr)
+    def test_equals_the_scan(self, cs):
+        assert cs.case_closure() == _scanned_closure(cs)
+        # The second call is answered by the memo, with the same result.
+        assert cs.case_closure() is cs.case_closure()
+
+    def test_the_cap_is_kept(self):
+        # Only the first 4,096 code points of an interval are scanned:
+        # the Glagolitic capitals past the cap keep no small letters.
+        wide = CharSet.of_range(0x2C00 - 4096, 0x2C2F)
+        assert "ⰰ" not in wide.case_closure()
+        assert "ⰰ" in CharSet.of_range(0x2C00, 0x2C2F).case_closure()
+
+    def test_memo_is_bounded(self):
+        from repro.regex.charclass import _case_closure
+
+        assert _case_closure.cache_info().maxsize is not None
+
+
 class TestPartition:
     def test_partition_is_disjoint_cover(self):
         sets = [WORD, DIGIT, CharSet.of("x-")]

@@ -17,6 +17,24 @@ class TestSolveCommand:
 
     def test_solve_unsat(self, capsys):
         assert main(["solve", "^(?=b)a$"]) == 1
+        assert capsys.readouterr().out.strip() == "unsatisfiable"
+
+    def test_solve_unknown_is_not_unsat(self, capsys):
+        # No z3 binary: the one-shot SMT-LIB backend answers UNKNOWN.
+        assert main(["solve", r"(a+)b", "--backend", "smtlib:z3"]) == 1
+        out = capsys.readouterr().out
+        assert "unknown" in out and "unsatisfiable" not in out
+
+    def test_solve_unknown_names_its_cause(self, capsys, monkeypatch):
+        from repro.solver import core
+
+        monkeypatch.setattr(core, "UNITS_PER_SECOND", 0)
+        assert main(["solve", r"(a+)b"]) == 1
+        assert "unknown (budget)" in capsys.readouterr().out
+
+    def test_solve_negated_unsat(self, capsys):
+        assert main(["solve", "[^]*", "--negate"]) == 1
+        assert "unsatisfiable" in capsys.readouterr().out
 
     def test_solve_with_portfolio_backend(self, capsys):
         # smtlib degrades to UNKNOWN without a binary; native still wins.

@@ -225,3 +225,33 @@ class TestSmtlibPrinter:
         weird = StrVar("C0!7")
         body = to_smtlib(Eq(weird, StrConst("v")), declare=False)
         assert "|C0!7|" in body
+
+
+class TestStrVarHash:
+    """``StrVar`` caches its hash; it must stay the dataclass hash and
+    never travel in a pickle."""
+
+    def test_hash_is_the_dataclass_hash(self):
+        assert hash(StrVar("x")) == hash(("x",))
+        assert {StrVar("x"): 1}[StrVar("x")] == 1
+
+    def test_pickle_from_another_hash_seed(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        dumped = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys; from repro.constraints import StrVar; "
+             "sys.stdout.buffer.write(pickle.dumps([StrVar('seg!1')]))"],
+            env=dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src),
+            capture_output=True, check=True,
+        ).stdout
+        [var] = pickle.loads(dumped)
+        assert var == StrVar("seg!1")
+        assert hash(var) == hash(("seg!1",))
+        assert {StrVar("seg!1"): True}[var]

@@ -62,6 +62,29 @@ class TestSpecs:
         )
         assert JobResult.from_spec(result.to_spec()) == result
 
+    @pytest.mark.parametrize("kind", ["solve", "survey", "replayed"])
+    def test_executed_results_round_trip(self, kind):
+        from repro.service.runner import replay_result
+
+        solve = SolveJob(job_id="s", pattern="(a|b)c")
+        survey = SurveyJob(
+            job_id="v", package_files=[["var x = /(a)\\1/; var y = /b+/i;"]]
+        )
+        if kind == "survey":
+            result = survey.run()
+        else:
+            result = solve.run()
+            if kind == "replayed":
+                twin = SolveJob(job_id="t", pattern="(a|b)c")
+                result = replay_result(twin, solve, result)
+        assert result.status == "ok"
+        spec = result.to_spec()
+        assert JobResult.from_spec(spec) == result
+        # Through the wire format too, and the payload is a copy.
+        assert JobResult.from_spec(json.loads(json.dumps(spec))) == result
+        assert spec["payload"] == result.payload
+        assert spec["payload"] is not result.payload
+
 
 class TestAnalyzeJob:
     def test_runs_and_reports_coverage(self):
