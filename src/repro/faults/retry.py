@@ -64,7 +64,8 @@ def lease_lost_result(
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the runner and the serve scheduler re-drive failed jobs.
+    """How the job scheduler re-drives failed jobs, for a batch and
+    the serve daemon alike.
 
     ``max_retries`` bounds re-dispatches per job (0 = the pre-existing
     fail-fast behavior); ``quarantine_after`` is the crash-loop fuse —

@@ -7,11 +7,12 @@ the daemon's whole life.  Clients speak
 newline-delimited JSON over a unix socket or TCP port
 (:mod:`repro.serve.protocol`), results stream back the moment they
 land, and duplicated work coalesces across clients through the
-scheduler's single-flight table (:mod:`repro.serve.scheduler`).
+scheduler's single-flight table (:mod:`repro.service.scheduler`).
 
 - :mod:`repro.serve.protocol` — wire frames and their validation;
-- :mod:`repro.serve.scheduler` — admission control, per-client
-  fairness, cross-client single-flight;
+- :mod:`repro.service.scheduler` — admission control, per-client
+  fairness, cross-client single-flight (``repro batch`` runs through
+  the same scheduler);
 - :mod:`repro.serve.server` — the asyncio daemon and its drain;
 - :mod:`repro.serve.client` — the blocking client library
   (``python -m repro submit`` is a thin wrapper over it);
@@ -19,8 +20,8 @@ scheduler's single-flight table (:mod:`repro.serve.scheduler`).
 """
 
 from repro.serve.client import Rejected, ServeClient, ServeError
-from repro.serve.scheduler import JobScheduler, Overloaded
 from repro.serve.server import ServeConfig, ServeServer
+from repro.service.scheduler import JobScheduler, Overloaded
 
 __all__ = [
     "JobScheduler",

@@ -9,7 +9,7 @@ results, and a connection's ack/result frames interleave in completion
 order, which is the streaming contract.
 
 Scheduling (admission bounds, per-client fairness, cross-client
-single-flight) lives in :class:`~repro.serve.scheduler.JobScheduler`;
+single-flight) lives in :class:`~repro.service.scheduler.JobScheduler`;
 this module owns connection lifecycle and drain:
 
 - a client disconnecting mid-job forfeits its queued jobs and its
@@ -41,9 +41,9 @@ from repro import faults, obs
 from repro.obs import metrics
 from repro.obs.export import ObsRun
 from repro.serve import protocol
-from repro.serve.scheduler import JobScheduler, Overloaded
 from repro.service.jobs import JobResult, job_from_spec
 from repro.service.runner import BatchRunner
+from repro.service.scheduler import JobScheduler, Overloaded
 
 
 @dataclass

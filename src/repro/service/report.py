@@ -79,8 +79,15 @@ class BatchReport:
 
     @property
     def total_retries(self) -> int:
-        """Worker-crash/timeout redispatches absorbed across the batch."""
-        return sum(getattr(r, "retries", 0) for r in self.results)
+        """Worker-crash/timeout redispatches absorbed across the batch.
+
+        A coalesced copy replays its representative's ``retries``; only
+        executed results count, so one redispatch is counted once.
+        """
+        return sum(
+            r.retries for r in self.results
+            if "deduped_from" not in r.payload
+        )
 
     @property
     def quarantined_jobs(self) -> int:

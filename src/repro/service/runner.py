@@ -11,13 +11,15 @@ points:
   worker also attaches the persistent on-disk automata compilation
   store, so corpus regexes are compiled once per *path*, not once per
   process per invocation.
-- **Scheduler-level dedup.**  With ``dedup=True`` jobs are coalesced
-  *before* dispatch by their :meth:`~repro.service.jobs._JobBase.dedup_key`
-  (for solve jobs: the canonical fingerprint of the query they pose) —
-  N submitted jobs sharing a key become one single-flight execution
-  whose result is fanned back out to every submitter.  This removes
-  whole solves the query cache would otherwise still have to replay
-  per job, and it works across workers without shared state.
+- **One scheduler for batch and serve.**  :meth:`BatchRunner.run` is
+  one client of a :class:`~repro.service.scheduler.JobScheduler` on a
+  private event loop, the same scheduler the serve daemon puts in
+  front of this pool.  With ``dedup=True`` its single-flight table
+  coalesces jobs with equal
+  :meth:`~repro.service.jobs._JobBase.dedup_key` (for solve jobs: the
+  canonical fingerprint of the query they pose): N submitted jobs
+  sharing a key become one execution whose result is fanned back out
+  to every submitter as a :func:`replay_result` copy.
 - **Graceful failure capture.**  Jobs trap their own exceptions
   (``Job.run``) and come back as ``status="error"`` results; a lost or
   overdue worker task becomes ``status="timeout"``.  One bad program
@@ -33,41 +35,33 @@ points:
   SIGKILLed and is settled as a timeout.  A dead or killed worker's
   slot is respawned, and every dispatch is settled exactly once.
 - **Bounded retries + quarantine.**  With ``retry_max > 0`` the
-  :class:`~repro.faults.RetryPolicy` re-drives crashed/timed-out jobs
-  with exponential backoff and deterministic jitter; a poison job that
-  keeps killing workers is quarantined (``status="quarantined"``)
-  instead of crash-looping the pool.
-- **Deterministic ordering.**  Results are collected per-submission-slot
-  and reported in submission order no matter which worker finished
-  first.
+  scheduler re-drives crashed/timed-out jobs under the runner's
+  :class:`~repro.faults.RetryPolicy`, with exponential backoff and
+  deterministic jitter; a poison job that keeps killing workers is
+  quarantined (``status="quarantined"``) instead of crash-looping the
+  pool.
+- **Deterministic ordering.**  Results are reported in submission order
+  no matter which worker finished first.
 - **Bounded jobs.**  Per-job wall budgets are enforced inside the job
   (engine time budgets, solver timeouts); ``job_timeout`` is the outer
-  backstop, counted in pool mode from hand-off to a worker.
+  backstop, counted in pool mode from hand-off to a worker and, in an
+  inline batch, by the scheduler from dispatch.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextvars
 import itertools
-import math
 import multiprocessing
 import os
-import queue as queue_module
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro import faults, obs
 from repro.faults.retry import RetryPolicy, crash_result
@@ -260,11 +254,12 @@ class RunnerConfig:
     """Knobs of the batch runner."""
 
     workers: int = 2  # 0 = run inline in this process (no pool)
-    #: Thread count of the *persistent* inline executor
-    #: (:meth:`BatchRunner.start` with ``workers == 0``) — lets an
-    #: inline serve daemon overlap jobs without process workers.  The
-    #: threads share one query cache (thread-safe); classic
-    #: :meth:`BatchRunner.run` inline batches stay strictly serial.
+    #: Thread count of the inline executor (:meth:`BatchRunner.start`
+    #: with ``workers == 0``) — lets an inline serve daemon overlap
+    #: jobs without process workers.  The threads share one query cache
+    #: (thread-safe); :meth:`BatchRunner.run` inline batches stay
+    #: strictly serial, since their scheduler dispatches one job at a
+    #: time (``max_inflight=1``).
     inline_concurrency: int = 1
     job_timeout: float = 300.0  # outer backstop per job, seconds
     use_cache: bool = True
@@ -316,16 +311,13 @@ class RunnerConfig:
 class BatchRunner:
     """Run a batch of service jobs and collect ordered results.
 
-    Two execution modes share the worker plumbing:
-
-    - :meth:`run` — the classic batch call: a pool is created for the
-      call, every job joins in submission order, one report comes back.
-    - :meth:`start` / :meth:`submit` / :meth:`run_iter` / :meth:`close`
-      — the as-completed seam the serve daemon multiplexes clients
-      onto: one *persistent* pool outlives any single batch, jobs are
-      submitted individually, and each result is delivered the moment
-      it lands (a completion callback for ``submit``, an as-completed
-      iterator for ``run_iter``) instead of joining per-slot.
+    :meth:`start` / :meth:`submit` / :meth:`close` is the seam a
+    :class:`~repro.service.scheduler.JobScheduler` drives: one pool (or
+    inline executor) outlives any single job, jobs are submitted
+    individually, and each result is delivered to a completion callback
+    the moment it lands.  The serve daemon multiplexes its clients onto
+    it; :meth:`run` is a batch driven through the same scheduler, and
+    its one report lists the results in submission order.
     """
 
     def __init__(self, config: Optional[RunnerConfig] = None, **kwargs):
@@ -350,16 +342,21 @@ class BatchRunner:
         # -- recovery accounting (cumulative over the runner's life) --------
         self.worker_crashes = 0
         self.heals = 0
-        self.retries = 0
-        self.quarantined = 0
 
     def run(self, jobs: Sequence[_JobBase]) -> "BatchReport":
+        """Run ``jobs`` to completion; results in submission order.
+
+        The batch is one client of a
+        :class:`~repro.service.scheduler.JobScheduler` on a private
+        event loop, so retries, quarantine and dedup (``single_flight``)
+        follow the serve daemon's code path.  Reuses the pool of a
+        runner that :meth:`start` already brought up, and otherwise
+        starts and closes its own.
+        """
         from repro.service.report import BatchReport
 
         started = time.monotonic()
         jobs = list(jobs)
-        if self.config.fault_plan is not None:
-            faults.install(self.config.fault_plan)
         obs_run = ObsRun.start(
             trace=self.config.trace,
             trace_format=self.config.trace_format,
@@ -367,26 +364,29 @@ class BatchRunner:
             slow_query_ms=self.config.slow_query_ms,
         )
         self._obs_run = obs_run
+        owns_pool = not self._started
+        loop = asyncio.new_event_loop()
         try:
             with obs.span(
                 "batch:run",
                 jobs=len(jobs),
                 workers=self.config.workers,
             ):
-                if self.config.dedup:
-                    unique_jobs, assignment = _coalesce(jobs)
-                else:
-                    unique_jobs, assignment = jobs, list(range(len(jobs)))
-                if self.config.workers == 0:
-                    executed = self._run_inline(unique_jobs)
-                else:
-                    executed = self._run_pool(unique_jobs)
-            results = _fan_out(jobs, unique_jobs, executed, assignment)
+                if owns_pool:
+                    self.start(obs_run=obs_run)
+                try:
+                    results, coalesced = loop.run_until_complete(
+                        self._schedule(jobs)
+                    )
+                finally:
+                    if owns_pool:
+                        self.close()
         except BaseException:
             if obs_run is not None:
                 obs_run.abort()
             raise
         finally:
+            loop.close()
             self._obs_run = None
         summary = obs_run.finish() if obs_run is not None else None
         report = BatchReport(
@@ -394,7 +394,7 @@ class BatchRunner:
             wall_time=time.monotonic() - started,
             workers=self.config.workers,
             jobs_submitted=len(jobs),
-            jobs_executed=len(unique_jobs),
+            jobs_executed=len(jobs) - coalesced,
         )
         if summary is not None:
             report.trace_path = summary.trace_path
@@ -403,7 +403,40 @@ class BatchRunner:
             report.obs_pids = summary.pids
         return report
 
-    # -- persistent pool lifecycle (the serve daemon's seam) -----------------
+    async def _schedule(
+        self, jobs: List[_JobBase]
+    ) -> Tuple[List[JobResult], int]:
+        """Submit every job to a scheduler and wait for all of them;
+        returns the results by submission index and the coalesced
+        count."""
+        from repro.service.scheduler import JobScheduler
+
+        inline = self.config.workers == 0
+        scheduler = JobScheduler(
+            self,
+            asyncio.get_running_loop(),
+            max_queue=max(1, len(jobs)),
+            # Inline batches stay strictly serial.
+            max_inflight=1 if inline else None,
+            single_flight=self.config.dedup,
+            # A pool worker's job is backstopped by the dispatcher from
+            # hand-off (queue wait does not count); inline, the
+            # scheduler's timer is the only backstop.
+            job_timeout=self.config.job_timeout if inline else 0,
+        )
+        results: List[Optional[JobResult]] = [None] * len(jobs)
+        for index, job in enumerate(jobs):
+            scheduler.submit(
+                "batch",
+                job,
+                lambda result, _, index=index: results.__setitem__(
+                    index, result
+                ),
+            )
+        await scheduler.wait_idle()
+        return results, scheduler.coalesced
+
+    # -- persistent pool lifecycle (the scheduler's seam) --------------------
 
     @property
     def started(self) -> bool:
@@ -412,8 +445,8 @@ class BatchRunner:
     def start(self, obs_run: Optional[ObsRun] = None) -> "BatchRunner":
         """Bring up a persistent worker pool for :meth:`submit`.
 
-        With ``workers == 0`` jobs execute on one internal thread in
-        this process (same inline cache semantics as :meth:`run`);
+        With ``workers == 0`` jobs execute on ``inline_concurrency``
+        internal threads in this process, sharing one query cache;
         otherwise ``workers`` processes and the dispatcher thread are
         started once and reused across every submitted job.
         ``obs_run`` is the optional observability run whose worker
@@ -528,7 +561,8 @@ class BatchRunner:
                 )
             deliver(result)
 
-        self._executor.submit(run_inline)
+        # The job's spans keep the submitter's current span as parent.
+        self._executor.submit(contextvars.copy_context().run, run_inline)
         return None
 
     # -- the dispatcher thread (pool mode) -----------------------------------
@@ -659,136 +693,10 @@ class BatchRunner:
             "jobs_tracked": queued + sum(w.job is not None for w in workers),
             "worker_crashes": self.worker_crashes,
             "heals": self.heals,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
         }
         if self._executor is not None:
             health["workers_alive"] = max(1, self.config.inline_concurrency)
         return health
-
-    def run_iter(
-        self, jobs: Sequence[_JobBase]
-    ) -> Iterator[Tuple[int, JobResult]]:
-        """Yield ``(submission_index, result)`` pairs as jobs complete.
-
-        No per-slot join: the first finished job is yielded first, no
-        matter where it was submitted.  Recovery lives here: crashed or
-        backstop-timed-out attempts are re-driven under the runner's
-        :class:`RetryPolicy` (``retry_max``), poison jobs come back
-        ``status="quarantined"``, and a stale attempt's late result is
-        dropped — each submission index yields exactly once.  In pool
-        mode the dispatcher owns the backstop (from hand-off, so queue
-        wait does not count); inline, the deadline here is the only
-        one.  Starts and closes a pool of its own unless the runner was
-        already :meth:`start`\\ ed.  No scheduler-level dedup: the
-        caller owns coalescing in as-completed mode (the serve daemon's
-        single-flight table does exactly that).
-        """
-        jobs = list(jobs)
-        owns_pool = not self._started
-        if owns_pool:
-            self.start(obs_run=self._obs_run)
-        policy = self.retry
-        inline = self._executor is not None
-        backstop = self.config.job_timeout
-        results: "queue_module.Queue[Tuple[int, int, JobResult]]" = (
-            queue_module.Queue()
-        )
-        attempts = [0] * len(jobs)
-        crashes = [0] * len(jobs)
-        deadlines: Dict[int, float] = {}
-        retry_at: Dict[int, float] = {}
-
-        def dispatch(index: int) -> None:
-            attempt = attempts[index]
-            if inline:
-                deadlines[index] = time.monotonic() + backstop
-            self.submit(
-                jobs[index],
-                lambda result, index=index, attempt=attempt: results.put(
-                    (index, attempt, result)
-                ),
-            )
-
-        def resolve(index: int, result: JobResult) -> Optional[JobResult]:
-            """Terminal result, or ``None`` if the attempt is retried."""
-            kind = policy.classify(result)
-            if kind == "crash":
-                crashes[index] += 1
-            if policy.should_retry(kind, attempts[index], crashes[index]):
-                attempts[index] += 1
-                self.retries += 1
-                _metrics.count("runner_retries_total", kind=kind)
-                obs.event(
-                    "runner:retry",
-                    job_id=jobs[index].job_id,
-                    attempt=attempts[index],
-                    kind=kind,
-                )
-                retry_at[index] = time.monotonic() + policy.delay(
-                    attempts[index], jobs[index].job_id
-                )
-                return None
-            final = policy.finalize(result, attempts[index], crashes[index])
-            if final.status == "quarantined":
-                self.quarantined += 1
-                _metrics.count("runner_quarantined_total")
-                obs.event(
-                    "runner:quarantine",
-                    job_id=jobs[index].job_id,
-                    crashes=crashes[index],
-                )
-            return final
-
-        try:
-            pending = set(range(len(jobs)))
-            for index in range(len(jobs)):
-                dispatch(index)
-            while pending:
-                now = time.monotonic()
-                due = sorted(
-                    i for i in pending
-                    if i in retry_at and retry_at[i] <= now
-                )
-                for index in due:
-                    del retry_at[index]
-                    dispatch(index)
-                wake_at = min(
-                    retry_at.get(i, deadlines.get(i, math.inf))
-                    for i in pending
-                )
-                try:
-                    index, attempt, result = results.get(
-                        timeout=max(0.0, wake_at - now)
-                        if wake_at < math.inf
-                        else None
-                    )
-                except queue_module.Empty:
-                    now = time.monotonic()
-                    overdue = sorted(
-                        i for i in pending
-                        if i not in retry_at
-                        and deadlines.get(i, math.inf) <= now
-                    )
-                    for index in overdue:
-                        job = jobs[index]
-                        final = resolve(
-                            index,
-                            _backstop_timeout(job.job_id, job.KIND, backstop),
-                        )
-                        if final is not None:
-                            pending.discard(index)
-                            yield index, final
-                    continue
-                if index not in pending or attempt != attempts[index]:
-                    continue  # late completion of a stale attempt
-                final = resolve(index, result)
-                if final is not None:
-                    pending.discard(index)
-                    yield index, final
-        finally:
-            if owns_pool:
-                self.close()
 
     # -- execution strategies ------------------------------------------------
 
@@ -822,19 +730,6 @@ class BatchRunner:
             self.config.fault_plan,
         )
 
-    def _run_inline(self, jobs: Sequence[_JobBase]) -> List[JobResult]:
-        factory = self._build_inline_factory()
-        return [job.run(solver_factory=factory) for job in jobs]
-
-    def _run_pool(self, jobs: Sequence[_JobBase]) -> List[JobResult]:
-        """Pool-mode :meth:`run`: an ordered collect over
-        :meth:`run_iter`, which owns the pool lifecycle and the
-        retry/quarantine/self-healing machinery."""
-        results: List[Optional[JobResult]] = [None] * len(jobs)
-        for index, result in self.run_iter(jobs):
-            results[index] = result
-        return [result for result in results if result is not None]
-
 
 def _backstop_timeout(job_id: str, kind: str, backstop: float) -> JobResult:
     """The result of a job that overran the runner's ``job_timeout``."""
@@ -845,32 +740,6 @@ def _backstop_timeout(job_id: str, kind: str, backstop: float) -> JobResult:
         seconds=backstop,
         error=f"job exceeded the runner's {backstop}s backstop",
     )
-
-
-# -- scheduler-level dedup ----------------------------------------------------
-
-
-def _coalesce(
-    jobs: Sequence[_JobBase],
-) -> Tuple[List[_JobBase], List[int]]:
-    """Group jobs by ``dedup_key``; return (representatives, assignment).
-
-    ``assignment[i]`` is the representative index executing submitted
-    job ``i``.  Jobs whose key is ``None`` always represent themselves.
-    """
-    by_key: Dict[str, int] = {}
-    unique: List[_JobBase] = []
-    assignment: List[int] = []
-    for job in jobs:
-        key = job.dedup_key()
-        slot = by_key.get(key) if key is not None else None
-        if slot is None:
-            slot = len(unique)
-            unique.append(job)
-            if key is not None:
-                by_key[key] = slot
-        assignment.append(slot)
-    return unique, assignment
 
 
 #: Payload keys that count a job's own work; a replayed copy drops them.
@@ -891,8 +760,8 @@ def replay_result(
     ``job_id``, without work counters and tallies (it performed no
     solves of its own — that is the point; readers default them to
     zero), and a ``deduped_from`` marker so the report can tell replayed
-    results from executed ones.  Shared by the batch scheduler's dedup
-    fan-out and the serve daemon's cross-client single-flight table.
+    results from executed ones.  The scheduler's single-flight fan-out
+    uses it for batches and the serve daemon alike.
     """
     payload = {
         key: value
@@ -916,22 +785,3 @@ def replay_result(
         cache_misses=0,
         retries=rep_result.retries,
     )
-
-
-def _fan_out(
-    jobs: Sequence[_JobBase],
-    unique_jobs: Sequence[_JobBase],
-    executed: Sequence[JobResult],
-    assignment: Sequence[int],
-) -> List[JobResult]:
-    """Expand representative results back to submission order."""
-    results: List[JobResult] = []
-    for job, slot in zip(jobs, assignment):
-        rep_result = executed[slot]
-        if unique_jobs[slot] is job:
-            results.append(rep_result)
-        else:
-            results.append(
-                replay_result(job, unique_jobs[slot], rep_result)
-            )
-    return results

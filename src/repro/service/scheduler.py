@@ -1,10 +1,14 @@
 """Admission control, per-client fairness, and cross-client single-flight.
 
-The daemon-side job scheduler between the connection layer and the
-persistent :class:`~repro.service.runner.BatchRunner` pool.  All of its
-methods run on the daemon's event loop thread (runner completions are
-marshalled back via ``loop.call_soon_threadsafe``), so the data
-structures need no locks.
+The one dispatch loop in front of a started
+:class:`~repro.service.runner.BatchRunner`: the serve daemon puts it
+between its connection layer and the pool, and
+:meth:`BatchRunner.run <repro.service.runner.BatchRunner.run>` drives a
+batch through it as a single client on a private event loop.  Retries,
+quarantine, the scheduler's job backstop and single-flight dedup live
+here and nowhere else.  All of its methods run on the owning event loop
+thread (runner completions are marshalled back via
+``loop.call_soon_threadsafe``), so the data structures need no locks.
 
 - **Admission control.**  At most ``max_queue`` jobs wait beyond the
   ``max_inflight`` dispatched into the pool; a submit past the bound
@@ -20,10 +24,9 @@ structures need no locks.
   refinement-stream fingerprints) attach to the in-flight or queued
   representative instead of occupying a queue slot; when it lands, the
   one result fans out to every attached waiter as a
-  :func:`~repro.service.runner.replay_result` copy.  This is the
-  scheduler-level dedup of ``--dedup`` lifted from one batch to the
-  whole daemon: duplicates coalesce *across* clients and arrival
-  times, closing the ROADMAP's deferred in-flight-dedup item.  A
+  :func:`~repro.service.runner.replay_result` copy.  A batch's
+  ``--dedup`` is this table with one client; in the daemon duplicates
+  coalesce *across* clients and arrival times.  A
   finished flight whose result the job class calls
   :meth:`~repro.service.jobs._JobBase.replayable` (a settled solve
   verdict reached without a retry: a found word, already checked

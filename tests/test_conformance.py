@@ -44,6 +44,34 @@ TIMEOUT = 1.0
 # -- generator ----------------------------------------------------------------
 
 
+class TestKnownUnsoundness:
+    """Bug B: a backreference inside a repeated group reads UNSAT where
+    the matcher matches.  ECMAScript resets a quantified atom's
+    captures at the start of every iteration, so in the second
+    iteration ``\\1`` is undefined and matches the empty string.  The
+    strict marker fails the suite once the bug is fixed, so the fix
+    removes it."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="Bug B: backreference in a repeated group",
+    )
+    @pytest.mark.parametrize(
+        "pattern, word",
+        [
+            (r"(\1a|c){2}", "ca"),
+            (r"(?:(c)|\1a){2}", "ca"),
+            (r"(c|\1a){2}", "ca"),
+            (r"(a\1|c){2}", "ca"),
+            (r"(c\1|a){2}", "ac"),
+        ],
+    )
+    def test_backreference_in_repeated_group(self, pattern, word):
+        oracle = DifferentialOracle(["native"], timeout=3.0)
+        assert not oracle.disagrees(pattern, "", word)
+
+
 class TestGenerator:
     def test_deterministic_in_seed(self):
         assert generate_pairs(10, seed=3) == generate_pairs(10, seed=3)

@@ -91,7 +91,7 @@ class TestWorkerKillRetry:
             SolveJob(job_id="wedged", pattern="cd", solver_timeout=1.0),
         ]
         with BatchRunner(config) as runner:
-            results = dict(runner.run_iter(jobs))
+            results = runner.run(jobs).results
             health = runner.pool_health()
         assert [results[i].status for i in (0, 1)] == ["ok", "ok"]
         assert results[1].retries == 1
@@ -111,18 +111,43 @@ class TestWorkerKillRetry:
             },
         )
         with BatchRunner(config) as runner:
-            results = dict(
-                runner.run_iter(
-                    [SolveJob(job_id="e", pattern="ab", solver_timeout=1.0)]
-                )
-            )
+            results = runner.run(
+                [SolveJob(job_id="e", pattern="ab", solver_timeout=1.0)]
+            ).results
             health = runner.pool_health()
         assert results[0].status == "error"
         assert results[0].error.startswith("FaultInjected: ")
         assert "worker:job" in results[0].error
         assert results[0].retries == 0
-        assert health["retries"] == 0
         assert health["worker_crashes"] == 0
+
+    def test_dedup_twin_does_not_double_count_a_retry(self):
+        """A coalesced twin replays its representative's ``retries``,
+        but the batch counts the one redispatch once."""
+        runner = BatchRunner(
+            RunnerConfig(
+                workers=1,
+                dedup=True,
+                retry_max=2,
+                retry_backoff_s=0.05,
+                fault_plan={
+                    "rules": [
+                        {"site": "worker:job", "action": "kill", "nth": 2}
+                    ]
+                },
+            )
+        )
+        jobs = [
+            SolveJob(job_id="a", pattern="ab", solver_timeout=1.0),
+            SolveJob(job_id="b", pattern="cd", solver_timeout=1.0),
+            SolveJob(job_id="b-twin", pattern="cd", solver_timeout=1.0),
+        ]
+        report = runner.run(jobs)
+        assert [r.status for r in report.results] == ["ok", "ok", "ok"]
+        assert [r.retries for r in report.results] == [0, 1, 1]
+        assert report.results[2].payload["deduped_from"] == "b"
+        assert report.jobs_executed == 2
+        assert report.total_retries == 1
 
     def test_no_fault_plan_means_no_retries(self):
         runner = BatchRunner(RunnerConfig(workers=0))

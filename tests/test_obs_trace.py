@@ -253,6 +253,22 @@ class TestTracedBatchEndToEnd:
             report.slow_queries[0]
         )
 
+    def test_inline_job_spans_parent_to_the_batch_span(self, tmp_path):
+        """Inline jobs run on an executor thread; their spans still hang
+        off the one ``batch:run`` span of the calling thread."""
+        trace = str(tmp_path / "trace.jsonl")
+        report = BatchRunner(RunnerConfig(workers=0, trace=trace)).run(
+            self._jobs(2)
+        )
+        assert all(r.status == "ok" for r in report.results)
+        assert validate_jsonl_trace(trace) == []
+        records = [json.loads(line) for line in open(trace)]
+        batch = [r for r in records if r["name"] == "batch:run"]
+        job_spans = [r for r in records if r["name"] == "job:analyze"]
+        assert len(batch) == 1
+        assert len(job_spans) == 2
+        assert all(r["parent"] == batch[0]["id"] for r in job_spans)
+
     def test_untraced_batch_leaves_no_artifacts(self, tmp_path):
         report = BatchRunner(RunnerConfig(workers=0)).run(self._jobs(1))
         assert report.trace_path is None

@@ -15,9 +15,9 @@ import pytest
 
 from repro.obs import metrics
 from repro.obs.schema import validate_metrics_payload
-from repro.serve import protocol, scheduler
+from repro.serve import protocol
 from repro.serve.client import ServeClient
-from repro.service import jobs
+from repro.service import jobs, scheduler
 from repro.service.jobs import AnalyzeJob, SolveJob, SurveyJob
 from repro.service.report import merge_solve, merge_survey
 from repro.service.runner import BatchRunner, RunnerConfig

@@ -9,7 +9,6 @@ from repro.service import (
     format_batch_report,
     merge_backend_tallies,
 )
-from repro.service.runner import _coalesce
 
 
 class TestDedupKeys:
@@ -40,11 +39,14 @@ class TestDedupKeys:
     def test_unparsable_pattern_never_coalesces(self):
         bad = SolveJob(job_id="a", pattern="(")
         assert bad.dedup_key() is None
-        unique, assignment = _coalesce(
+        report = BatchRunner(RunnerConfig(workers=0, dedup=True)).run(
             [bad, SolveJob(job_id="b", pattern="(")]
         )
-        assert len(unique) == 2
-        assert assignment == [0, 1]
+        assert report.jobs_executed == 2
+        assert report.jobs_coalesced == 0
+        assert not any(
+            "deduped_from" in r.payload for r in report.results
+        )
 
     def test_analyze_key_covers_config(self):
         src = 'var s = symbol("s", "");\nif (/a+/.test(s)) { 1; }\n'

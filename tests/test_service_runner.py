@@ -86,7 +86,7 @@ class TestPool:
 
 @dataclass
 class NapJob(_JobBase):
-    """Sleeps, then reports — for as-completed ordering assertions.
+    """Sleeps, then reports — for backstop-timeout assertions.
 
     Only usable with the inline runner (``workers=0``): the class is
     test-local, so a pool worker process could not unpickle its spec.
@@ -109,7 +109,7 @@ def nap_kind(monkeypatch):
 
 
 class TestPersistentPool:
-    """The start/submit/run_iter/close seam the serve daemon sits on."""
+    """The start/submit/close seam the scheduler drives."""
 
     def test_submit_before_start_raises(self):
         with pytest.raises(RuntimeError):
@@ -146,31 +146,10 @@ class TestPersistentPool:
             assert done.wait(timeout=60.0)
         assert sum(r.cache_hits for r in landed) >= 1
 
-    def test_run_iter_yields_as_completed(self, nap_kind):
-        runner = BatchRunner(
-            RunnerConfig(workers=0, inline_concurrency=2)
-        )
-        jobs = [
-            NapJob(job_id="slow", duration=0.5),
-            NapJob(job_id="fast", duration=0.0),
-        ]
-        order = [
-            result.job_id for _, result in runner.run_iter(jobs)
-        ]
-        assert order == ["fast", "slow"]  # not submission order
-
-    def test_run_iter_indices_follow_submission(self, nap_kind):
-        runner = BatchRunner(workers=0)
-        jobs = [NapJob(job_id=f"n{i}") for i in range(3)]
-        pairs = list(runner.run_iter(jobs))
-        assert {index for index, _ in pairs} == {0, 1, 2}
-        for index, result in pairs:
-            assert result.job_id == f"n{index}"
-
-    def test_run_iter_timeout_yields_timeout_result(self, nap_kind):
+    def test_run_timeout_yields_timeout_result(self, nap_kind):
         runner = BatchRunner(RunnerConfig(workers=0, job_timeout=0.2))
         jobs = [NapJob(job_id="stuck", duration=5.0)]
-        (_, result), = runner.run_iter(jobs)
+        result, = runner.run(jobs).results
         assert result.status == "timeout"
         assert result.job_id == "stuck"
 
