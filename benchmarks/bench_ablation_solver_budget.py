@@ -4,7 +4,7 @@ Sweeps the string solver's candidate/combination budgets over a mixed
 query bank (anchored captures, backreferences, boundaries, precedence
 traps).  Shows that the model fragment needs only modest search: the
 default budget solves the full bank, and the gain from quadrupling it
-is nil — evidence for the bounded-search design (DESIGN.md §5).
+is nil — evidence for the bounded-search design.
 """
 
 from repro.eval.ablation import (

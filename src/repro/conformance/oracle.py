@@ -185,14 +185,15 @@ class DifferentialOracle:
         try:
             symbolic = SymbolicRegExp(pattern, flags)
             var = StrVar(f"fuzz!{next(_check_ids)}")
-            model = symbolic.exec_model(var)
+            # Only the match side is read: a verdict is a match or not.
+            match_formula = symbolic.exec_model(var).match_formula
         except Exception:
             entry = None  # unsupported: negative-cached
         else:
             entry = _PatternEntry(
                 symbolic.concrete,
                 var,
-                to_nnf(model.match_formula),
+                to_nnf(match_formula),
                 _exact_fragment(symbolic.concrete.pattern.body),
             )
         self._models[key] = entry

@@ -100,15 +100,18 @@ class Implies(Formula):
 # -- smart constructors ------------------------------------------------------
 
 
+# The constructors test literals by type: ``op == TRUE`` would dispatch
+# to a dataclass ``__eq__`` (twice, for a non-literal) per operand.
+
+
 def conj(operands: Iterable[Formula]) -> Formula:
     flat: list[Formula] = []
     for op in operands:
         if isinstance(op, And):
             flat.extend(op.operands)
-        elif op == TRUE:
-            continue
-        elif op == FALSE:
-            return FALSE
+        elif isinstance(op, BoolLit):
+            if not op.value:
+                return FALSE
         else:
             flat.append(op)
     if not flat:
@@ -123,10 +126,9 @@ def disj(operands: Iterable[Formula]) -> Formula:
     for op in operands:
         if isinstance(op, Or):
             flat.extend(op.operands)
-        elif op == FALSE:
-            continue
-        elif op == TRUE:
-            return TRUE
+        elif isinstance(op, BoolLit):
+            if op.value:
+                return TRUE
         else:
             flat.append(op)
     if not flat:

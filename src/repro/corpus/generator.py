@@ -4,7 +4,7 @@ The paper surveys 415,487 real NPM packages; offline we generate a
 corpus whose *population shape* matches the survey's findings so the
 pipeline (extraction → classification → aggregation) can be exercised
 end-to-end and Tables 4/5 regenerate with the paper's qualitative
-ordering (see DESIGN.md, substitution table).
+ordering.
 
 Shape parameters calibrated to the paper:
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constraints import (
     Eq,
@@ -55,20 +55,40 @@ class RegexSupportLevel(Enum):
     REFINED = 3  # + CEGAR refinement (full system)
 
 
+#: ``side(outcome)``: the clause and capturing constraints of a branch
+#: going ``outcome`` (condition truthy / regex matched).
+Side = Callable[[bool], Tuple[Formula, Tuple[CapturingConstraint, ...]]]
+
+
 @dataclass
 class BranchRecord:
     """One symbolic branch: the clause taken and its negation.
 
     ``polarity`` is the concrete outcome (condition truthy / regex
     matched); the engine's path signatures need it to distinguish the two
-    directions of the same program point."""
+    directions of the same program point.  A regex branch's ``side`` is
+    :meth:`ExecModel.side`, which translates a side on first read, so a
+    side that no flip and no flip's prefix reads is never built."""
 
     site: int
-    taken: Formula
-    flipped: Formula
-    polarity: bool = True
-    taken_constraints: Tuple[CapturingConstraint, ...] = ()
-    flipped_constraints: Tuple[CapturingConstraint, ...] = ()
+    polarity: bool
+    side: Side
+
+    @property
+    def taken(self) -> Formula:
+        return self.side(self.polarity)[0]
+
+    @property
+    def flipped(self) -> Formula:
+        return self.side(not self.polarity)[0]
+
+    @property
+    def taken_constraints(self) -> Tuple[CapturingConstraint, ...]:
+        return self.side(self.polarity)[1]
+
+    @property
+    def flipped_constraints(self) -> Tuple[CapturingConstraint, ...]:
+        return self.side(not self.polarity)[1]
 
 
 @dataclass
@@ -621,13 +641,9 @@ class Interpreter:
                 [neg(Eq(term, StrConst(""))), neg(Eq(term, Undef()))]
             )
         taken = _truthy(concrete_of(condition))
+        sides = {True: (phi, ()), False: (neg(phi), ())}
         self.trace.branches.append(
-            BranchRecord(
-                site=site,
-                taken=phi if taken else neg(phi),
-                flipped=neg(phi) if taken else phi,
-                polarity=taken,
-            )
+            BranchRecord(site=site, polarity=taken, side=sides.__getitem__)
         )
 
     def record_regex_branch(
@@ -637,25 +653,8 @@ class Interpreter:
         exec_model,
     ) -> None:
         """Record the fork of a regex operation (§3.2's Lc clauses)."""
-        match_side = (
-            exec_model.match_formula,
-            (exec_model.constraint,),
-        )
-        fail_side = (
-            exec_model.no_match_formula,
-            (exec_model.negative_constraint,),
-        )
-        taken, taken_cons = match_side if matched else fail_side
-        flipped, flipped_cons = fail_side if matched else match_side
         self.trace.branches.append(
-            BranchRecord(
-                site=site,
-                taken=taken,
-                flipped=flipped,
-                polarity=matched,
-                taken_constraints=taken_cons,
-                flipped_constraints=flipped_cons,
-            )
+            BranchRecord(site=site, polarity=matched, side=exec_model.side)
         )
 
     def _site(self, expr) -> int:
@@ -723,7 +722,7 @@ class _BoundRegexMethod:
         symbolic_ok = (
             subject_term is not None
             and interp.level != RegexSupportLevel.CONCRETE
-            and offset == 0  # nonzero offsets concretize (see DESIGN.md)
+            and offset == 0  # nonzero offsets concretize
         )
         if not symbolic_ok:
             if subject_term is not None:

@@ -21,15 +21,18 @@ Flag handling follows Algorithm 2:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
+from repro.automata.build import erase_captures
 from repro.regex import ast
 from repro.regex.flags import Flags
 from repro.regex.matcher import ExecResult, RegExp
 from repro.constraints import (
     Formula,
     InRe,
+    Not,
     StrConst,
     StrVar,
     Term,
@@ -74,19 +77,89 @@ def _strip_edge_anchors(
     return ast.concat(parts), anchored_start, anchored_end
 
 
-@dataclass
 class ExecModel:
-    """Symbolic description of one ``RegExp.exec(input)`` call."""
+    """Symbolic description of one ``RegExp.exec(input)`` call.
 
-    match_formula: Formula
-    no_match_formula: Formula
-    captures: Dict[int, StrVar]
-    constraint: CapturingConstraint
-    negative_constraint: CapturingConstraint
+    The two sides, ``match_formula`` and ``no_match_formula`` (§4.4),
+    are translated on first read and then kept: most readers need one
+    side (the differential oracle reads the match side, a solve job the
+    side it asks for), and DSE reads a side of a regex branch only when
+    a flip of that branch or of a later one needs it.  Both sides come
+    from one :class:`Translator`, so the pattern is preprocessed once
+    per call.
+    Reading the match side first and then the no-match side gives the
+    formulas an eager build would, fresh variable for fresh variable.
+    """
+
+    def __init__(
+        self,
+        input_term: Term,
+        pieces: List[ast.Node],
+        captures: Dict[int, StrVar],
+        config: ModelConfig,
+        constraint: CapturingConstraint,
+        negative_constraint: CapturingConstraint,
+    ):
+        self.input_term = input_term
+        self.captures = captures
+        self.constraint = constraint
+        self.negative_constraint = negative_constraint
+        self._pieces = pieces
+        self._config = config
 
     @property
     def whole_match(self) -> StrVar:
         return self.captures[0]
+
+    def side(
+        self, matched: bool
+    ) -> Tuple[Formula, Tuple[CapturingConstraint, ...]]:
+        """The formula and capturing constraints of the branch where the
+        exec call does (``matched``) or does not match."""
+        if matched:
+            return self.match_formula, (self.constraint,)
+        return self.no_match_formula, (self.negative_constraint,)
+
+    @cached_property
+    def _translator(self) -> Translator:
+        return Translator(
+            ast.concat(self._pieces), self.captures, self._config
+        )
+
+    @cached_property
+    def match_formula(self) -> Formula:
+        return self._sane(self._membership(positive=True))
+
+    @cached_property
+    def no_match_formula(self) -> Formula:
+        # §4.4 fast path: when the capture-erased pattern is classical,
+        # the non-membership constraint is *exactly* the complement
+        # automaton — no capture variables are involved in a failed
+        # match.
+        neg_target = ast.concat(
+            [
+                erase_captures(
+                    p if not isinstance(p, ast.Group) else p.child
+                )
+                for p in self._pieces
+            ]
+        )
+        if ast.is_purely_regular(neg_target):
+            return self._sane(Not(InRe(self.input_term, neg_target)))
+        return self._sane(self._membership(positive=False))
+
+    def _sane(self, formula: Formula) -> Formula:
+        # Inputs never contain the reserved meta-characters (§6.1); the
+        # sanity conjunct keeps the solver from inventing them.
+        return conj([formula, InRe(self.input_term, INPUT_LANG)])
+
+    def _membership(self, positive: bool) -> Formula:
+        return self._translator.membership(
+            self.input_term,
+            positive=positive,
+            lctx=StrConst(META_START),
+            rctx=StrConst(META_END),
+        )
 
 
 class SymbolicRegExp:
@@ -107,9 +180,12 @@ class SymbolicRegExp:
         self.source = source
         self.flags = Flags.parse(flags) if isinstance(flags, str) else flags
         self.concrete = RegExp(source, self.flags)
-        self.config = config or ModelConfig(multiline=self.flags.multiline)
-        if self.flags.multiline:
-            self.config.multiline = True
+        # A copy: the caller's config may be shared by other patterns,
+        # whose anchors must not start matching at line breaks.
+        base = config or ModelConfig()
+        self.config = replace(
+            base, multiline=base.multiline or self.flags.multiline
+        )
         self.last_index = 0
 
     @property
@@ -148,49 +224,6 @@ class SymbolicRegExp:
         pieces.append(ast.Group(stripped, 0))
         if not anchored_end:
             pieces.append(wildcard())
-        wrapped = ast.concat(pieces)
-
-        translator = Translator(wrapped, captures, self.config)
-        lctx = StrConst(META_START)
-        rctx = StrConst(META_END)
-        # Inputs never contain the reserved meta-characters (§6.1); the
-        # sanity conjunct keeps the solver from inventing them.
-        sane_input = InRe(input_term, INPUT_LANG)
-        match_formula = conj(
-            [
-                translator.membership(
-                    input_term, positive=True, lctx=lctx, rctx=rctx
-                ),
-                sane_input,
-            ]
-        )
-
-        # §4.4 fast path: when the capture-erased pattern is classical, the
-        # non-membership constraint is *exactly* the complement automaton —
-        # no capture variables are involved in a failed match.
-        from repro.automata.build import erase_captures
-        from repro.regex.ast import is_purely_regular
-        from repro.constraints import Not as _Not
-
-        erased_pieces = [
-            erase_captures(p if not isinstance(p, ast.Group) else p.child)
-            for p in pieces
-        ]
-        neg_target = ast.concat(erased_pieces)
-        if is_purely_regular(neg_target):
-            no_match_formula = conj(
-                [_Not(InRe(input_term, neg_target)), sane_input]
-            )
-        else:
-            neg_translator = Translator(wrapped, captures, self.config)
-            no_match_formula = conj(
-                [
-                    neg_translator.membership(
-                        input_term, positive=False, lctx=lctx, rctx=rctx
-                    ),
-                    sane_input,
-                ]
-            )
 
         flag_string = str(self.flags)
         constraint = CapturingConstraint(
@@ -212,11 +245,12 @@ class SymbolicRegExp:
             sticky=sticky,
         )
         return ExecModel(
-            match_formula=match_formula,
-            no_match_formula=no_match_formula,
-            captures=captures,
-            constraint=constraint,
-            negative_constraint=negative_constraint,
+            input_term,
+            pieces,
+            captures,
+            self.config,
+            constraint,
+            negative_constraint,
         )
 
     def test_model(self, input_term: Term, last_index: int = 0) -> ExecModel:

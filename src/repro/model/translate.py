@@ -4,7 +4,7 @@
 constraint language of :mod:`repro.constraints`, following Table 2 for
 operators/captures, Table 3 for backreferences, and §4.4 for negation.
 
-Key implementation choices (each mirrors the paper, see DESIGN.md):
+Key implementation choices (each mirrors the paper):
 
 - **Purely regular subtrees** bottom out in a single ``InRe`` atom (the
   base case of Table 2), so automata do the heavy lifting.
@@ -20,7 +20,9 @@ Key implementation choices (each mirrors the paper, see DESIGN.md):
   threads the full left/right context of every position (concatenations
   of the surrounding segment variables plus the ``⟨``/``⟩``
   meta-characters added by Algorithm 2), which is the compositional
-  reading of Table 2's ``L(.*⟨)``-style rules.
+  reading of Table 2's ``L(.*⟨)``-style rules.  A context travels as a
+  tuple of its parts and becomes a term only where an anchor, boundary
+  or lookahead reads it.
 - **Negation** (§4.4) keeps structural constraints (partitions, capture
   bindings) positive and negates the disjunction of semantic units.
 """
@@ -106,6 +108,10 @@ _STARTS_NEWLINE = ast.concat([_LINETERM_CM, _ANY_STAR])
 
 _EPS = StrConst("")
 
+#: A context: the terms whose concatenation is the subject on one side
+#: of a position.  Concatenated only where a rule reads it.
+Context = Tuple[Term, ...]
+
 #: Nodes a quantifier body cannot contain and still take the star rule.
 _UNROLLED = (ast.Backreference, ast.Lookahead, ast.WordBoundary, ast.Anchor)
 
@@ -190,9 +196,6 @@ class Translator:
         self.backref_types = classify_backrefs(
             ast.Pattern(self.body, group_count)
         )
-        #: True when some rule was under-approximate (quantified
-        #: backreference beyond the unroll bound / IMMUTABLE policy hit).
-        self.underapproximate = False
 
     # -- public API -----------------------------------------------------------
 
@@ -217,21 +220,24 @@ class Translator:
             self.body,
             path=(),
             word=word,
-            lctx=lctx,
-            rctx=rctx,
+            lctx=(lctx,),
+            rctx=(rctx,),
             cap_map=dict(self.captures),
         )
         return translation.positive() if positive else translation.negative()
 
     # -- recursion -------------------------------------------------------------
+    #
+    # ``lctx``/``rctx`` are contexts: tuples of the terms whose
+    # concatenation is the subject left/right of ``word``.
 
     def _visit(
         self,
         node: ast.Node,
         path: Path,
         word: Term,
-        lctx: Term,
-        rctx: Term,
+        lctx: Context,
+        rctx: Context,
         cap_map: Dict[int, StrVar],
     ) -> Translation:
         if self.facts(node).purely_regular:
@@ -250,8 +256,8 @@ class Translator:
             structural=[Eq(word, concat(*segments))]
         )
         for i, part in enumerate(node.parts):
-            part_lctx = concat(lctx, *segments[:i])
-            part_rctx = concat(*segments[i + 1:], rctx)
+            part_lctx = lctx + tuple(segments[:i])
+            part_rctx = tuple(segments[i + 1:]) + rctx
             child = self._visit(
                 part, path + (i,), segments[i], part_lctx, part_rctx, cap_map
             )
@@ -331,7 +337,7 @@ class Translator:
             node.child,
             path + (0,),
             last,
-            concat(lctx, prefix),
+            lctx + (prefix,),
             rctx,
             cap_map,
         )
@@ -358,7 +364,6 @@ class Translator:
         low, high = node.min, node.max
         bound = low + self.config.unroll_limit
         if high is None or high > bound:
-            self.underapproximate = high is None or high > bound
             high = bound
         groups = sorted(
             {g for g in self.facts(node.child).groups if g in cap_map}
@@ -378,8 +383,8 @@ class Translator:
             for i, copy_word in enumerate(copies):
                 is_last = i == count - 1
                 copy_caps = self._iteration_caps(cap_map, groups, is_last)
-                copy_lctx = concat(lctx, *copies[:i])
-                copy_rctx = concat(*copies[i + 1:], rctx)
+                copy_lctx = lctx + tuple(copies[:i])
+                copy_rctx = tuple(copies[i + 1:]) + rctx
                 child = self._visit(
                     node.child,
                     path + (0,),
@@ -406,8 +411,6 @@ class Translator:
         under IMMUTABLE (row 5 — forcing all iterations to agree, which is
         the paper's deliberately unsound simplification)."""
         if is_last or self.config.policy is MutableBackrefPolicy.IMMUTABLE:
-            if not is_last:
-                self.underapproximate = True
             return cap_map
         overlay = dict(cap_map)
         for g in groups:
@@ -443,13 +446,14 @@ class Translator:
         # word: here the remaining word is the right context, split into a
         # prefix matching t1 and an arbitrary tail (the ``.*`` of the rule).
         child_facts = self.facts(node.child)
+        rest_term = concat(*rctx)
         if not node.negative and child_facts.purely_regular:
             # Fast path mirroring Table 2 verbatim: the remaining word is
             # in L(t1 .*) — one membership on the right context.
             rest = fresh_var("look")
             target = ast.concat([node.child, _ANY_STAR])
             return Translation(
-                structural=[Eq(word, _EPS), Eq(rest, rctx)],
+                structural=[Eq(word, _EPS), Eq(rest, rest_term)],
                 semantic=[InRe(rest, target)],
             )
         la_word = fresh_var("look")
@@ -458,14 +462,14 @@ class Translator:
         result = Translation(
             structural=[
                 Eq(word, _EPS),
-                Eq(rest, rctx),
+                Eq(rest, rest_term),
                 Eq(rest, concat(la_word, la_tail)),
             ]
         )
         if not node.negative:
             # Positive lookahead: captures within persist (ES6 semantics).
             child = self._visit(
-                node.child, path + (0,), la_word, lctx, la_tail, cap_map
+                node.child, path + (0,), la_word, lctx, (la_tail,), cap_map
             )
             result.merge(child)
             return result
@@ -474,7 +478,7 @@ class Translator:
         inner_groups = sorted(set(child_facts.groups))
         if child_facts.purely_regular:
             rest = fresh_var("look")
-            result.structural = [Eq(word, _EPS), Eq(rest, rctx)]
+            result.structural = [Eq(word, _EPS), Eq(rest, rest_term)]
             target = ast.concat([erase_captures(node.child), _ANY_STAR])
             result.semantic.append(neg(InRe(rest, target)))
             # (the ``.*`` tail here may legitimately reach the ⟩ marker,
@@ -484,7 +488,7 @@ class Translator:
             for g in inner_groups:
                 overlay[g] = fresh_var(f"C{g}_neg")
             child = self._visit(
-                node.child, path + (0,), la_word, lctx, la_tail, overlay
+                node.child, path + (0,), la_word, lctx, (la_tail,), overlay
             )
             result.semantic.append(child.negative())
         for g in inner_groups:
@@ -497,12 +501,14 @@ class Translator:
     ) -> Translation:
         result = Translation(structural=[Eq(word, _EPS)])
         if node.kind == "start":
+            lctx = concat(*lctx)
             conditions = [InRe(lctx, _ENDS_META_START)]
             if not _never_empty(lctx):
                 conditions.insert(0, Eq(lctx, _EPS))
             if self.config.multiline:
                 conditions.append(InRe(lctx, _ENDS_NEWLINE))
         else:
+            rctx = concat(*rctx)
             conditions = [InRe(rctx, _STARTS_META_END)]
             if not _never_empty(rctx):
                 conditions.insert(0, Eq(rctx, _EPS))
@@ -515,6 +521,7 @@ class Translator:
         self, node: ast.WordBoundary, path, word, lctx, rctx, cap_map
     ) -> Translation:
         """Table 2's ``\\b``/``\\B`` rules over the threaded contexts."""
+        lctx, rctx = concat(*lctx), concat(*rctx)
         ends_word = InRe(lctx, _ENDS_WORD)
         ends_nonword_opts = [InRe(lctx, _ENDS_NONWORD)]
         if not _never_empty(lctx):

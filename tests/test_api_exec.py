@@ -9,6 +9,7 @@ from repro.model.api import (
     find_matching_input,
 )
 from repro.model.cegar import CegarSolver
+from repro.model.translate import ModelConfig
 from repro.regex import RegExp, parse_regex
 from repro.regex.ast import Anchor, Concat
 from repro.solver import SAT, Solver
@@ -71,6 +72,18 @@ class TestExecModel:
         regexp = SymbolicRegExp(r"ab")
         model = regexp.exec_model(StrVar("s"))
         assert model.whole_match == model.captures[0]
+
+    def test_shared_config_is_not_mutated(self):
+        # A multiline pattern must not turn on multiline anchors for a
+        # later pattern built from the same config.
+        config = ModelConfig()
+        assert SymbolicRegExp("^a", "m", config).config.multiline
+        plain = SymbolicRegExp("^a", "", config)
+        assert not config.multiline and not plain.config.multiline
+        inp = StrVar("s")
+        model = plain.exec_model(inp)
+        problem = conj([model.match_formula, Eq(inp, StrConst("x\na"))])
+        assert CegarSolver().solve(problem, [model.constraint]).status != SAT
 
     def test_meta_characters_never_in_solutions(self):
         regexp = SymbolicRegExp(r"a.*b")

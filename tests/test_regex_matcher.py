@@ -104,7 +104,9 @@ class TestBackreferences:
     def test_spec_language_of_mutable_backref_regex(self):
         # Under spec semantics /((a|b)\2)+\1\2/ accepts (aa|bb)*(aaaaa|bbbbb).
         # Note: the paper's §4.3 prose claims "aabbaabbb" matches; the spec
-        # algorithm (and Perl semantics) disagree — see DESIGN.md.
+        # algorithm (and Perl semantics) disagree: \1\2 repeats the last
+        # iteration's "xx" and then "x", so a match ends in five equal
+        # letters.
         r = RegExp(r"^((a|b)\2)+\1\2$")
         assert r.test("aaaaa")
         assert r.test("aabbbbb")
